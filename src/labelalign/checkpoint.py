@@ -11,12 +11,18 @@ Layout (all integers little-endian):
 The JSON header holds the echoed run configuration (flat string map), and
 for every parameter its name, shape, dtype and byte offset/length relative
 to the start of the blob region.
+
+Writes go to a temporary file in the target directory that is then renamed
+over the target, so a failed or interrupted save leaves any earlier
+checkpoint at that path intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -36,9 +42,8 @@ def save_checkpoint(path, params: ParameterSet, config_echo: dict[str, str]):
     blobs = []
     offset = 0
     for name, tensor in params.items():
-        arr = np.ascontiguousarray(tensor.data)
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
+        # asarray keeps 0-d parameters 0-d; tobytes emits C order regardless
+        arr = np.asarray(tensor.data, dtype=tensor.data.dtype.newbyteorder("<"))
         raw = arr.tobytes()
         entries.append(
             {
@@ -57,12 +62,21 @@ def save_checkpoint(path, params: ParameterSet, config_echo: dict[str, str]):
         "k_hat": float(params["k_hat"].data) if "k_hat" in params else None,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(payload)))
-        fh.write(payload)
-        for raw in blobs:
-            fh.write(raw)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(payload)))
+            fh.write(payload)
+            for raw in blobs:
+                fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

@@ -89,7 +89,7 @@ def build_datasets(cfg: RunConfig) -> TrainData:
             raise ConfigError(
                 "dataset files not found: "
                 + ", ".join(missing)
-                + f" (set [data] dir or ${DATA_DIR_ENV}; see README for fetching)"
+                + f" (set [data] dir or ${DATA_DIR_ENV}; see README.md for the file layout)"
             )
         source = load_mnist(paths["mnist_train_images"], paths["mnist_train_labels"], split="train")
         usps_train = load_usps(paths["usps_train"], split="train")
@@ -167,7 +167,7 @@ def cmd_train(args) -> int:
 
     print(
         f"run: mode={cfg.train.mode} optimizer={cfg.train.optimizer} "
-        f"gradient_mode={cfg.train.gradient_mode} gate={cfg.train.gate} "
+        f"gradient_mode={cfg.train.gradient_mode} "
         f"dtype={cfg.train.dtype} seed={cfg.train.seed}"
     )
     print(
@@ -177,7 +177,7 @@ def cmd_train(args) -> int:
     print(f"     config sha256 {cfg.content_hash()}")
 
     metrics_path = out_dir / "metrics.csv"
-    every = max(1, cfg.output["metrics_every"])
+    every = cfg.output["metrics_every"]
     ckpt_every = cfg.output["checkpoint_every"]
     flat = cfg.to_flat()
 

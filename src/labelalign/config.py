@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .training import ConfigError, TrainConfig
@@ -38,27 +38,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# section -> key -> (type tag, default)
+# section -> key -> (type tag, default); [train] mirrors TrainConfig, whose
+# annotations are the type-tag strings under postponed evaluation
 _SCHEMA = {
-    "train": {
-        "lam": ("float", 1e-3),
-        "gamma": ("float", 1e-3),
-        "beta": ("float", 5.0),
-        "alpha": ("float", 1e-3),
-        "batch_size": ("int", 128),
-        "steps": ("int", 2100),
-        "seed": ("int", 0),
-        "mode": ("str", "dla"),
-        "gradient_mode": ("str", "projected"),
-        "alignment_target": ("str", "probabilities"),
-        "classification_loss": ("str", "cross_entropy"),
-        "optimizer": ("str", "adam"),
-        "weight_init": ("str", "he"),
-        "dtype": ("str", "float32"),
-        "gate": ("str", "learned"),
-        "val_every": ("int", 50),
-        "timing": ("bool", True),
-    },
+    "train": {f.name: (f.type, f.default) for f in fields(TrainConfig)},
     "data": {
         "dataset": ("str", "synthetic"),
         "dir": ("str", ""),
@@ -91,20 +74,30 @@ class RunConfig:
     data: dict
     output: dict
 
+    def sections(self) -> dict[str, dict[str, str]]:
+        """Every schema value rendered as text, ``{section: {key: value}}``."""
+        values = {"train": vars(self.train), "data": self.data, "output": self.output}
+        return {
+            section: {key: _fmt(values[section][key]) for key in keys}
+            for section, keys in _SCHEMA.items()
+        }
+
     def echo_text(self) -> str:
         """Canonical INI rendering of the full effective configuration."""
         lines = []
-        values = {
-            "train": {k: getattr(self.train, k) for k in _SCHEMA["train"]},
-            "data": self.data,
-            "output": self.output,
-        }
-        for section in _SCHEMA:
+        for section, values in self.sections().items():
             lines.append(f"[{section}]")
-            for key in _SCHEMA[section]:
-                lines.append(f"{key} = {_fmt(values[section][key])}")
+            lines.extend(f"{key} = {value}" for key, value in values.items())
             lines.append("")
         return "\n".join(lines)
+
+    def to_flat(self) -> dict[str, str]:
+        """Flatten to ``section.key -> formatted value`` (checkpoint echo)."""
+        return {
+            f"{section}.{key}": value
+            for section, values in self.sections().items()
+            for key, value in values.items()
+        }
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.echo_text().encode("utf-8")).hexdigest()
@@ -120,18 +113,47 @@ class RunConfig:
         p = Path(self.data[key])
         return p if p.is_absolute() else self.data_dir() / p
 
-    def to_flat(self) -> dict[str, str]:
-        """Flatten to ``section.key -> formatted value`` (checkpoint echo)."""
-        flat = {}
-        values = {
-            "train": {k: getattr(self.train, k) for k in _SCHEMA["train"]},
-            "data": self.data,
-            "output": self.output,
-        }
-        for section in _SCHEMA:
-            for key in _SCHEMA[section]:
-                flat[f"{section}.{key}"] = _fmt(values[section][key])
-        return flat
+
+def parse_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
+    """Validate ``{section: {key: raw string}}`` against the schema; keys not
+    given take their defaults."""
+    for section, values in raw.items():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in values:
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown config key '{key}' in section [{section}]")
+
+    parsed: dict[str, dict] = {}
+    for section, keys in _SCHEMA.items():
+        given = raw.get(section, {})
+        parsed[section] = {}
+        for key, (tag, default) in keys.items():
+            if key not in given:
+                parsed[section][key] = default
+                continue
+            try:
+                parsed[section][key] = _PARSERS[tag](given[key])
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for '{key}' in [{section}]: {exc}") from exc
+
+    if parsed["data"]["dataset"] not in DATASETS:
+        raise ConfigError(
+            f"dataset must be one of {DATASETS}, got '{parsed['data']['dataset']}'"
+        )
+    if parsed["output"]["metrics_every"] < 1:
+        raise ConfigError(
+            f"metrics_every must be >= 1, got {parsed['output']['metrics_every']}"
+        )
+    if parsed["output"]["checkpoint_every"] < 0:
+        raise ConfigError(
+            f"checkpoint_every must be >= 0, got {parsed['output']['checkpoint_every']}"
+        )
+    return RunConfig(
+        train=TrainConfig(**parsed["train"]).validate(),
+        data=parsed["data"],
+        output=parsed["output"],
+    )
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
@@ -146,64 +168,16 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
-    raw: dict[str, dict[str, str]] = {s: {} for s in _SCHEMA}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key '{key}' in section [{section}]")
-            raw[section][key] = value
+    raw = {section: dict(parser.items(section)) for section in parser.sections()}
     for (section, key), value in (overrides or {}).items():
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown config key '{key}' in section [{section}]")
-        raw[section][key] = value
-
-    parsed: dict[str, dict] = {}
-    for section, keys in _SCHEMA.items():
-        parsed[section] = {}
-        for key, (tag, default) in keys.items():
-            if key in raw[section]:
-                try:
-                    parsed[section][key] = _PARSERS[tag](raw[section][key])
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"invalid value for '{key}' in [{section}]: {exc}"
-                    ) from exc
-            else:
-                parsed[section][key] = default
-
-    if parsed["data"]["dataset"] not in DATASETS:
-        raise ConfigError(
-            f"dataset must be one of {DATASETS}, got '{parsed['data']['dataset']}'"
-        )
-
-    cfg = RunConfig(
-        train=TrainConfig(**parsed["train"]).validate(),
-        data=parsed["data"],
-        output=parsed["output"],
-    )
-    return cfg
+        raw.setdefault(section, {})[key] = value
+    return parse_sections(raw)
 
 
 def config_from_flat(flat: dict[str, str]) -> RunConfig:
     """Rebuild a RunConfig from the flattened echo stored in a checkpoint."""
-    parsed: dict[str, dict] = {}
-    for section, keys in _SCHEMA.items():
-        parsed[section] = {}
-        for key, (tag, default) in keys.items():
-            raw = flat.get(f"{section}.{key}")
-            if raw is None:
-                parsed[section][key] = default
-            else:
-                try:
-                    parsed[section][key] = _PARSERS[tag](raw)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"invalid echoed value for '{section}.{key}': {exc}"
-                    ) from exc
-    return RunConfig(
-        train=TrainConfig(**parsed["train"]).validate(),
-        data=parsed["data"],
-        output=parsed["output"],
-    )
+    raw: dict[str, dict[str, str]] = {}
+    for name, value in flat.items():
+        section, _, key = name.partition(".")
+        raw.setdefault(section, {})[key] = value
+    return parse_sections(raw)

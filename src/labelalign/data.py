@@ -60,10 +60,10 @@ class ImageDataset:
         return self.images.shape[0]
 
     def subset(self, indices, split: str | None = None) -> "ImageDataset":
-        return ImageDataset(
+        return replace(
+            self,
             images=self.images[indices],
             labels=None if self.labels is None else self.labels[indices],
-            provenance=self.provenance,
             split=split or self.split,
         )
 
@@ -322,18 +322,3 @@ def standardize(ds: ImageDataset) -> ImageDataset:
     images = ((ds.images - mean) / std).astype(np.float32)
     return replace(ds, images=images, standardized=True)
 
-
-def ascii_preview(ds: ImageDataset, per_class: int = 1, width_chars: str = " .:-=+*#%@") -> str:
-    """Render a few samples per class as ASCII art for eyeballing label maps."""
-    if ds.labels is None:
-        raise DataFormatError("ascii preview needs labels")
-    lines = []
-    levels = len(width_chars) - 1
-    for digit in np.unique(ds.labels):
-        picks = np.flatnonzero(ds.labels == digit)[:per_class]
-        for i in picks:
-            lines.append(f"label {digit}:")
-            img = ds.images[i, 0]
-            for row in img[::2]:
-                lines.append("".join(width_chars[int(v * levels)] for v in row))
-    return "\n".join(lines)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, _make, mul, scale, sigmoid, sub
+from .autodiff import Tensor, _accumulate, _make, _sigmoid_values, scale, sigmoid, sub
 
 logger = logging.getLogger(__name__)
 
@@ -125,21 +125,14 @@ class AlignmentGate:
             raise SpectralError(f"gate sharpness must be positive, got {self.beta}")
 
     def k(self) -> float:
-        return float(_sigmoid_scalar(float(self.k_hat.data)))
+        return float(_sigmoid_values(np.asarray(self.k_hat.data, dtype=np.float64)))
 
     def weights(self, r: int) -> Tensor:
         return gate_weights(self.k_hat, self.beta, r)
 
 
-def _sigmoid_scalar(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
-
-
 def ones_gate_weights(r: int, dtype=np.float64) -> Tensor:
-    """Constant all-ones gate (the saturated gate used by baselines/tests)."""
+    """Constant all-ones gate: the saturated limit of the learned gate."""
     return Tensor(np.ones(r, dtype=dtype))
 
 

@@ -14,9 +14,8 @@ no label variation.
 Modes:
 
 * ``dla``        the full objective above.
-* ``no_adapt``   source-only baseline: the gate is saturated (all-ones, i.e.
-  the filter reduces to the identity and is skipped) and the alignment and
-  rank terms are zero.
+* ``no_adapt``   source-only baseline: no spectral filter runs, the gate
+  parameter is not trained, and the alignment and rank terms are zero.
 * ``partial_la`` the alignment term is dropped but the gated top filter and
   the rank regularizer stay: a supervised regularizer, no target data needed.
 
@@ -36,12 +35,11 @@ from .autodiff import Tensor
 from .data import BatchSampler, ImageDataset, next_batch
 from .model import DEFAULT_SPEC, ModelSpec, WEIGHT_INITS, build_model, forward_features, forward_head
 from .optim import ParameterSet, make_optimizer
-from .spectral import GRADIENT_MODES, AlignmentGate, ones_gate_weights, spectral_filter
+from .spectral import GRADIENT_MODES, AlignmentGate, spectral_filter
 
 MODES = ("dla", "no_adapt", "partial_la")
 ALIGNMENT_TARGETS = ("probabilities", "logits")
 CLASSIFICATION_LOSSES = ("cross_entropy", "squared_error")
-GATES = ("learned", "ones")
 OPTIMIZERS = ("adam", "sgd")
 DTYPES = {"float32": np.float32, "float64": np.float64}
 
@@ -76,7 +74,6 @@ class TrainConfig:
     optimizer: str = "adam"
     weight_init: str = "he"
     dtype: str = "float32"
-    gate: str = "learned"
     val_every: int = 50
     timing: bool = True
 
@@ -102,7 +99,6 @@ class TrainConfig:
             ("classification_loss", self.classification_loss, CLASSIFICATION_LOSSES),
             ("optimizer", self.optimizer, OPTIMIZERS),
             ("weight_init", self.weight_init, WEIGHT_INITS),
-            ("gate", self.gate, GATES),
         ):
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got '{value}'")
@@ -157,7 +153,7 @@ def _classification(logits, labels, cfg):
     probs = ad.softmax(logits)
     onehot = np.zeros(probs.shape, dtype=probs.data.dtype)
     onehot[np.arange(len(labels)), labels] = 1.0
-    return ad.squared_error(probs, onehot), probs.detach()
+    return ad.squared_error(probs, onehot), Tensor(probs.data)
 
 
 def dla_loss(
@@ -177,7 +173,8 @@ def dla_loss(
     if cfg.mode == "dla" and target_images is None:
         raise ConfigError("dla mode needs a target batch")
 
-    k_value = float(1.0 / (1.0 + np.exp(-float(params["k_hat"].data))))
+    gate = AlignmentGate(k_hat=params["k_hat"], beta=cfg.beta)
+    k_value = gate.k()
     phi = forward_features(params, spec, x)
 
     if cfg.mode == "no_adapt":
@@ -189,20 +186,7 @@ def dla_loss(
         )
         return total_t, parts, probs.data
 
-    if cfg.gate == "learned":
-        gate = AlignmentGate(k_hat=params["k_hat"], beta=cfg.beta)
-    else:
-        gate = None  # all-ones weights, constant
-
-    def gated(features, side):
-        if gate is not None:
-            return spectral_filter(features, gate, side, cfg.gradient_mode)
-        r = min(features.shape)
-        return spectral_filter(
-            features, ones_gate_weights(r, dtype=dtype), side, cfg.gradient_mode
-        )
-
-    phi_top = gated(phi, "top")
+    phi_top = spectral_filter(phi, gate, "top", cfg.gradient_mode)
     logits = forward_head(params, phi_top)
     cls_t, probs = _classification(logits, source_labels, cfg)
 
@@ -216,7 +200,7 @@ def dla_loss(
             raise ConfigError(
                 f"feature width mismatch: source {phi.shape[1]} vs target {phi_t.shape[1]}"
             )
-        phi_bottom = gated(phi_t, "bottom")
+        phi_bottom = spectral_filter(phi_t, gate, "bottom", cfg.gradient_mode)
         out_t = forward_head(params, phi_bottom)
         if cfg.alignment_target == "probabilities":
             out_t = ad.softmax(out_t)
@@ -241,9 +225,9 @@ def dla_loss(
 
 
 def trainable_names(params: ParameterSet, cfg: TrainConfig) -> list[str]:
-    """All weights, plus the gate parameter whenever gradients can reach it."""
+    """All weights, plus the gate parameter whenever the filter runs."""
     names = [n for n in params.names() if n != "k_hat"]
-    if cfg.mode != "no_adapt" and (cfg.gate == "learned" or cfg.gamma > 0):
+    if cfg.mode != "no_adapt":
         names.append("k_hat")
     return names
 

@@ -9,7 +9,6 @@ from labelalign.data import (
     BatchSampler,
     DataFormatError,
     ImageDataset,
-    ascii_preview,
     load_mnist,
     load_usps,
     make_synthetic,
@@ -294,8 +293,16 @@ def test_standardize_zero_mean_unit_variance():
     assert out.standardized
 
 
-def test_ascii_preview_renders_each_class():
-    ds = make_synthetic(200, seed=4)
-    art = ascii_preview(ds, per_class=1)
-    for digit in range(10):
-        assert f"label {digit}:" in art
+
+def test_subset_and_split_keep_standardized_flag():
+    train = standardize(make_synthetic(40, seed=5))
+    test = standardize(make_synthetic(30, seed=6))
+    assert train.images.min() < 0.0  # outside [0, 1], so the flag must carry over
+
+    part = test.subset(np.arange(10), split="val")
+    assert part.standardized and len(part) == 10 and part.split == "val"
+    np.testing.assert_array_equal(part.images, test.images[:10])
+
+    adapt, val, held = split_target(train, test, seed=1)
+    assert adapt.standardized and val.standardized and held.standardized
+    assert len(val) + len(held) == len(test)
