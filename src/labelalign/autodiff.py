@@ -151,13 +151,6 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    def backward(out):
-        _accumulate(a, -out.grad)
-
-    return _make(-a.data, (a,), backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar held outside the graph."""
     c = float(c)
@@ -248,16 +241,6 @@ def tsum(a: Tensor) -> Tensor:
 
     def backward(out):
         _accumulate(a, np.broadcast_to(out.grad, a.data.shape))
-
-    return _make(out_data, (a,), backward)
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-    out_data = a.data.mean()
-
-    def backward(out):
-        _accumulate(a, np.broadcast_to(out.grad / n, a.data.shape))
 
     return _make(out_data, (a,), backward)
 
@@ -428,12 +411,6 @@ def mean_squared_norm(x: Tensor) -> Tensor:
     """Mean over rows of each row's squared euclidean norm."""
     rows = x.data.shape[0]
     return scale(tsum(mul(x, x)), 1.0 / rows)
-
-
-def squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean over rows of the squared residual norm against a constant target."""
-    t = Tensor(np.asarray(target, dtype=pred.data.dtype))
-    return mean_squared_norm(sub(pred, t))
 
 
 # ---------------------------------------------------------------------------

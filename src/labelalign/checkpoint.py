@@ -20,6 +20,7 @@ checkpoint at that path intact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -31,6 +32,8 @@ from .optim import ParameterSet
 
 MAGIC = b"LALIGNCK"
 VERSION = 1
+_ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes")
+_DTYPES = ("float32", "float64")
 
 
 class CheckpointError(Exception):
@@ -93,18 +96,38 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: unreadable header") from exc
-    blob_start = 16 + header_len
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["params"]:
-        start = blob_start + entry["offset"]
-        stop = start + entry["nbytes"]
-        if stop > len(raw):
-            raise CheckpointError(
-                f"corrupt checkpoint {path}: truncated blob for '{entry['name']}'"
-            )
-        arr = np.frombuffer(raw[start:stop], dtype=np.dtype(entry["dtype"]))
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    return arrays, header.get("config", {})
+    if not isinstance(header, dict) or not isinstance(header.get("params"), list):
+        raise CheckpointError(f"corrupt checkpoint {path}: header has no 'params' list")
+    config = header.get("config", {})
+    if not isinstance(config, dict) or not all(isinstance(v, str) for v in config.values()):
+        raise CheckpointError(f"corrupt checkpoint {path}: 'config' is not a string map")
+    blobs = memoryview(raw)[16 + header_len :]
+    try:
+        arrays = dict(_read_param(entry, blobs) for entry in header["params"])
+    except ValueError as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
+    return arrays, config
+
+
+def _read_param(entry, blobs: memoryview) -> tuple[str, np.ndarray]:
+    """Check one header entry against the blob region and copy its array out;
+    raises ValueError naming what is wrong."""
+    if not isinstance(entry, dict) or any(key not in entry for key in _ENTRY_KEYS):
+        raise ValueError(f"parameter entry {entry!r} lacks one of {_ENTRY_KEYS}")
+    name, shape, dtype, offset, nbytes = (entry[key] for key in _ENTRY_KEYS)
+    if not isinstance(name, str) or not isinstance(shape, list):
+        raise ValueError(f"bad name or shape in parameter entry {entry!r}")
+    if not all(isinstance(n, int) and n >= 0 for n in (offset, *shape)):
+        raise ValueError(f"negative or non-integer offset or shape for '{name}'")
+    if dtype not in _DTYPES:
+        raise ValueError(f"unknown dtype {dtype!r} for '{name}' (expected one of {_DTYPES})")
+    dtype = np.dtype(dtype).newbyteorder("<")
+    count = math.prod(shape)
+    if nbytes != count * dtype.itemsize:
+        raise ValueError(f"'{name}' has {nbytes!r} bytes, not {count * dtype.itemsize} for {shape}")
+    if offset + nbytes > len(blobs):
+        raise ValueError(f"truncated blob for '{name}'")
+    return name, np.frombuffer(blobs, dtype, count, offset).reshape(shape).copy()
 
 
 def restore_params(arrays: dict[str, np.ndarray], expected_shapes: dict[str, tuple]) -> ParameterSet:

@@ -1,7 +1,7 @@
 """Command-line entry points: train, eval, linear-lab, plot.
 
-Exit codes: 0 success, 1 validation error (bad config, bad flags, bad
-inputs), 2 runtime failure (aborted training, corrupt checkpoint, ...).
+Exit codes: 0 success, 1 validation error (bad config, bad inputs), 2 runtime
+failure (aborted training, corrupt checkpoint, ...) or argparse usage error.
 """
 
 from __future__ import annotations
@@ -158,7 +158,6 @@ def cmd_train(args) -> int:
         "seed": cfg.train.seed,
         "mode": cfg.train.mode,
         "gradient_mode": cfg.train.gradient_mode,
-        "optimizer": cfg.train.optimizer,
         "package_version": __version__,
         "metrics": "metrics.csv",
         "checkpoint": "checkpoint.ckpt",
@@ -166,8 +165,7 @@ def cmd_train(args) -> int:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     print(
-        f"run: mode={cfg.train.mode} optimizer={cfg.train.optimizer} "
-        f"gradient_mode={cfg.train.gradient_mode} "
+        f"run: mode={cfg.train.mode} gradient_mode={cfg.train.gradient_mode} "
         f"dtype={cfg.train.dtype} seed={cfg.train.seed}"
     )
     print(

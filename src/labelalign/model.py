@@ -18,8 +18,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import ParameterSet
 
-WEIGHT_INITS = ("he", "xavier")
-
 
 class ModelError(Exception):
     pass
@@ -70,31 +68,18 @@ class ModelSpec:
 DEFAULT_SPEC = ModelSpec()
 
 
-def _init_std(shape, kind: str) -> float:
-    if len(shape) == 4:
-        fan_in = shape[1] * shape[2] * shape[3]
-        fan_out = shape[0] * shape[2] * shape[3]
-    else:
-        fan_in, fan_out = shape[0], shape[1]
-    if kind == "he":
-        return float(np.sqrt(2.0 / fan_in))
-    return float(np.sqrt(2.0 / (fan_in + fan_out)))
+def _init_std(shape) -> float:
+    fan_in = shape[1] * shape[2] * shape[3] if len(shape) == 4 else shape[0]
+    return float(np.sqrt(2.0 / fan_in))
 
 
-def build_model(
-    spec: ModelSpec,
-    seed: int,
-    dtype=np.float32,
-    weight_init: str = "he",
-) -> ParameterSet:
+def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ParameterSet:
     """Seeded initialization; identical seeds give bitwise-identical weights.
 
-    Weight matrices/kernels draw from a zero-mean normal scaled by the chosen
-    fan rule, biases start at zero, and the gate parameter ``k_hat`` draws
-    from a standard normal.
+    Weight matrices/kernels draw from a zero-mean normal scaled by the He fan-in
+    rule, biases start at zero, and the gate parameter ``k_hat`` draws from a
+    standard normal.
     """
-    if weight_init not in WEIGHT_INITS:
-        raise ModelError(f"unknown weight init '{weight_init}' (expected one of {WEIGHT_INITS})")
     rng = np.random.Generator(np.random.PCG64(seed))
     params = ParameterSet()
     for name, shape in spec.param_shapes().items():
@@ -103,7 +88,7 @@ def build_model(
         elif name.endswith("_b"):
             value = np.zeros(shape)
         else:
-            value = rng.standard_normal(shape) * _init_std(shape, weight_init)
+            value = rng.standard_normal(shape) * _init_std(shape)
         params.add(name, Tensor(np.asarray(value, dtype=dtype), requires_grad=True))
     return params
 

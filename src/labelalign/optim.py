@@ -1,8 +1,7 @@
 """Named parameter collections and gradient-based updates.
 
-Two updates are provided: plain gradient descent and the adaptive
-moment-based rule (bias-corrected first/second moments, decay 0.9/0.999,
-eps 1e-8).  A step consumes the gradients: every registered parameter must
+The update is Adam: bias-corrected first/second moments, decay 0.9/0.999,
+eps 1e-8.  A step consumes the gradients: every registered parameter must
 carry one, and afterwards all gradients are cleared so the next backward
 pass starts fresh.
 """
@@ -70,19 +69,6 @@ def _require_grads(params: ParameterSet):
             raise OptimizerError(f"parameter '{name}' has no gradient; run backward first")
 
 
-class Sgd:
-    """p <- p - alpha * grad"""
-
-    def __init__(self, alpha: float):
-        self.alpha = float(alpha)
-
-    def step(self, params: ParameterSet):
-        _require_grads(params)
-        for _, t in params.items():
-            t.data -= np.asarray(self.alpha, dtype=t.data.dtype) * t.grad
-        params.clear_grads()
-
-
 class Adam:
     """Bias-corrected adaptive update with per-parameter moment accumulators."""
 
@@ -121,11 +107,3 @@ class Adam:
                 np.sqrt(vhat) + self.eps
             )
         params.clear_grads()
-
-
-def make_optimizer(kind: str, alpha: float):
-    if kind == "adam":
-        return Adam(alpha)
-    if kind == "sgd":
-        return Sgd(alpha)
-    raise OptimizerError(f"unknown optimizer '{kind}' (expected 'adam' or 'sgd')")

@@ -4,11 +4,12 @@ Per step: sample a labeled source batch and an unlabeled target batch, push
 both through the feature extractor, split each feature matrix spectrally with
 a shared learnable gate, then minimize
 
-    classification(g(top(source))) + lam * ||g(bottom(target))||^2 + gamma * k^2
+    CE(g(top(source))) + lam * ||softmax(g(bottom(target)))||^2 + gamma * k^2
 
-where ``k = sigmoid(k_hat)`` is the normalized gate position.  The bottom
-filter keeps only the trailing spectrum of the target features, so driving
-``g`` toward zero output there suppresses dependence on directions carrying
+where ``CE`` is the softmax cross-entropy and ``k = sigmoid(k_hat)`` is the
+normalized gate position.  The bottom filter keeps only the trailing spectrum
+of the target features; the alignment term, smallest at a uniform softmax,
+drives ``g`` to no class preference there, suppressing directions carrying
 no label variation.
 
 Modes:
@@ -33,14 +34,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import BatchSampler, ImageDataset, next_batch
-from .model import DEFAULT_SPEC, ModelSpec, WEIGHT_INITS, build_model, forward_features, forward_head
-from .optim import ParameterSet, make_optimizer
+from .model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
+from .optim import Adam, ParameterSet
 from .spectral import GRADIENT_MODES, AlignmentGate, spectral_filter
 
 MODES = ("dla", "no_adapt", "partial_la")
-ALIGNMENT_TARGETS = ("probabilities", "logits")
-CLASSIFICATION_LOSSES = ("cross_entropy", "squared_error")
-OPTIMIZERS = ("adam", "sgd")
 DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
@@ -69,10 +67,6 @@ class TrainConfig:
     seed: int = 0
     mode: str = "dla"
     gradient_mode: str = "projected"
-    alignment_target: str = "probabilities"
-    classification_loss: str = "cross_entropy"
-    optimizer: str = "adam"
-    weight_init: str = "he"
     dtype: str = "float32"
     val_every: int = 50
     timing: bool = True
@@ -95,10 +89,6 @@ class TrainConfig:
         for name, value, allowed in (
             ("mode", self.mode, MODES),
             ("gradient_mode", self.gradient_mode, GRADIENT_MODES),
-            ("alignment_target", self.alignment_target, ALIGNMENT_TARGETS),
-            ("classification_loss", self.classification_loss, CLASSIFICATION_LOSSES),
-            ("optimizer", self.optimizer, OPTIMIZERS),
-            ("weight_init", self.weight_init, WEIGHT_INITS),
         ):
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got '{value}'")
@@ -146,16 +136,6 @@ class TrainResult:
     records: list[MetricsRecord] = field(default_factory=list)
 
 
-def _classification(logits, labels, cfg):
-    """(loss tensor, detached probabilities)."""
-    if cfg.classification_loss == "cross_entropy":
-        return ad.softmax_cross_entropy(logits, labels)
-    probs = ad.softmax(logits)
-    onehot = np.zeros(probs.shape, dtype=probs.data.dtype)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return ad.squared_error(probs, onehot), Tensor(probs.data)
-
-
 def dla_loss(
     params: ParameterSet,
     spec: ModelSpec,
@@ -179,7 +159,7 @@ def dla_loss(
 
     if cfg.mode == "no_adapt":
         logits = forward_head(params, phi)
-        cls_t, probs = _classification(logits, source_labels, cfg)
+        cls_t, probs = ad.softmax_cross_entropy(logits, source_labels)
         total_t = cls_t
         parts = DlaLossParts(
             cls=float(cls_t.data), align=0.0, k_reg=0.0, total=float(total_t.data), k=k_value
@@ -188,7 +168,7 @@ def dla_loss(
 
     phi_top = spectral_filter(phi, gate, "top", cfg.gradient_mode)
     logits = forward_head(params, phi_top)
-    cls_t, probs = _classification(logits, source_labels, cfg)
+    cls_t, probs = ad.softmax_cross_entropy(logits, source_labels)
 
     align_t = None
     if cfg.mode == "dla" and target_images is not None:
@@ -201,10 +181,7 @@ def dla_loss(
                 f"feature width mismatch: source {phi.shape[1]} vs target {phi_t.shape[1]}"
             )
         phi_bottom = spectral_filter(phi_t, gate, "bottom", cfg.gradient_mode)
-        out_t = forward_head(params, phi_bottom)
-        if cfg.alignment_target == "probabilities":
-            out_t = ad.softmax(out_t)
-        align_t = ad.mean_squared_norm(out_t)
+        align_t = ad.mean_squared_norm(ad.softmax(forward_head(params, phi_bottom)))
 
     k_t = ad.sigmoid(params["k_hat"])
     kreg_t = ad.mul(k_t, k_t)
@@ -247,23 +224,27 @@ def train(
     if cfg.mode == "dla" and data.target is None:
         raise ConfigError("dla mode needs an unlabeled target dataset")
 
+    target = data.target if cfg.mode == "dla" else None
+    for name, dataset in (("source", data.source), ("target", target)):
+        if dataset is not None and cfg.batch_size > len(dataset):
+            raise ConfigError(
+                f"batch_size {cfg.batch_size} exceeds the {name} dataset size {len(dataset)}"
+            )
+
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
-    params = build_model(spec, int(seeds[0]), dtype=cfg.np_dtype, weight_init=cfg.weight_init)
-    optimizer = make_optimizer(cfg.optimizer, cfg.alpha)
+    params = build_model(spec, int(seeds[0]), dtype=cfg.np_dtype)
+    optimizer = Adam(cfg.alpha)
     trainable = params.subset(trainable_names(params, cfg))
 
     src_sampler = BatchSampler(len(data.source), cfg.batch_size, int(seeds[1]))
     tgt_sampler = None
-    use_target = cfg.mode == "dla" and data.target is not None
-    if use_target:
-        tgt_sampler = BatchSampler(len(data.target), cfg.batch_size, int(seeds[2]))
+    if target is not None:
+        tgt_sampler = BatchSampler(len(target), cfg.batch_size, int(seeds[2]))
 
     records: list[MetricsRecord] = []
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter() if cfg.timing else 0.0
-        batch = next_batch(
-            src_sampler, data.source, tgt_sampler, data.target if use_target else None
-        )
+        batch = next_batch(src_sampler, data.source, tgt_sampler, target)
         total_t, parts, probs = dla_loss(
             params, spec, batch.source_images, batch.source_labels, batch.target_images, cfg
         )

@@ -57,5 +57,5 @@ def have_real_data() -> bool:
 requires_real_data = pytest.mark.skipif(
     not have_real_data(),
     reason="MNIST/USPS files not present under "
-    f"{data_root()} (run scripts/fetch_data.py on a networked machine)",
+    f"{data_root()} (see the \"Data files\" section of README.md)",
 )

@@ -1,5 +1,9 @@
+import json
+import struct
+
 import pytest
 
+from labelalign.checkpoint import MAGIC, VERSION
 from labelalign.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_datasets, main
 from labelalign.config import load_run_config
 from labelalign.model import DEFAULT_SPEC
@@ -83,13 +87,58 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
     assert main(["eval", "--checkpoint", str(missing)]) == EXIT_VALIDATION
 
 
+def hand_built(header) -> bytes:
+    """A checkpoint file with the given JSON header and a 16-byte blob region."""
+    payload = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<II", VERSION, len(payload)) + payload + bytes(16)
+
+
+def entry(**changes):
+    base = {"name": "k_hat", "shape": [], "dtype": "float32", "offset": 0, "nbytes": 4}
+    return {key: value for key, value in {**base, **changes}.items() if value is not None}
+
+
 def test_corrupt_checkpoint_exits_2(tmp_path, tiny_config, capsys):
     out = tmp_path / "run"
     assert run_train(tiny_config, out) == EXIT_OK
     whole = (out / "checkpoint.ckpt").read_bytes()
-    for name, raw in (("garbage.ckpt", b"not a checkpoint"), ("cut.ckpt", whole[: len(whole) // 2])):
-        path = tmp_path / name
+    cases = {
+        "garbage": b"not a checkpoint",
+        "cut": whole[: len(whole) // 2],
+        "header_not_object": hand_built([1, 2]),
+        "no_params": hand_built({"config": {}}),
+        "config_not_strings": hand_built({"config": {"train.seed": 0}, "params": []}),
+        "entry_not_object": hand_built({"params": ["k_hat"]}),
+        "entry_without_nbytes": hand_built({"params": [entry(nbytes=None)]}),
+        "negative_offset": hand_built({"params": [entry(offset=-4)]}),
+        "unknown_dtype": hand_built({"params": [entry(dtype="nonsense")]}),
+        "nbytes_not_shape_size": hand_built({"params": [entry(shape=[3], nbytes=4)]}),
+        "blob_past_end": hand_built({"params": [entry(shape=[8], nbytes=32)]}),
+    }
+    for name, raw in cases.items():
+        path = tmp_path / f"{name}.ckpt"
         path.write_bytes(raw)
         capsys.readouterr()
-        assert main(["eval", "--checkpoint", str(path)]) == EXIT_RUNTIME
-        assert "corrupt checkpoint" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", str(path)]) == EXIT_RUNTIME, name
+        assert "corrupt checkpoint" in capsys.readouterr().err, name
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"batch_size = 16": "batch_size = 64"}, "batch_size 64 exceeds the source dataset size 32"),
+        (
+            {"batch_size = 16": "batch_size = 48", "source_size = 32": "source_size = 64"},
+            "batch_size 48 exceeds the target dataset size 32",
+        ),
+    ],
+    ids=["source", "target"],
+)
+def test_batch_larger_than_a_dataset_exits_1(tmp_path, capsys, edits, message):
+    text = TINY
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    config = tmp_path / "big_batch.ini"
+    config.write_text(text)
+    assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
+    assert message in capsys.readouterr().err

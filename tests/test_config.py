@@ -33,7 +33,7 @@ def test_train_section_mirrors_train_config():
     assert list(_SCHEMA["train"]) == [f.name for f in dataclasses.fields(TrainConfig)]
     defaults = parse_sections({}).train
     assert defaults == TrainConfig()
-    assert sum(len(keys) for keys in _SCHEMA.values()) == 33
+    assert sum(len(keys) for keys in _SCHEMA.values()) == 29
 
 
 @pytest.mark.parametrize("sections", [{}, NON_DEFAULT], ids=["defaults", "non_default"])
@@ -58,6 +58,7 @@ def test_overrides_replace_file_values(tmp_path):
     "section, key, message",
     [
         ("train", "gate", "unknown config key 'gate'"),
+        ("train", "optimizer", "unknown config key 'optimizer'"),
         ("train", "learning_rate", "unknown config key"),
         ("bogus", "x", r"unknown config section \[bogus\]"),
     ],

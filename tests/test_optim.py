@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from labelalign.autodiff import Tensor
-from labelalign.optim import Adam, OptimizerError, ParameterSet, Sgd, make_optimizer
+from labelalign.optim import Adam, OptimizerError, ParameterSet
 
 
 def param_set(**named):
@@ -10,20 +10,6 @@ def param_set(**named):
     for name, value in named.items():
         ps.add(name, Tensor(np.asarray(value, dtype=np.float64), requires_grad=True))
     return ps
-
-
-def test_sgd_single_step_arithmetic():
-    ps = param_set(p=[1.0])
-    ps["p"].grad = np.array([2.0])
-    Sgd(alpha=0.5).step(ps)
-    np.testing.assert_array_equal(ps["p"].data, [0.0])
-
-
-def test_sgd_zero_gradient_leaves_parameter_unchanged():
-    ps = param_set(p=[1.25, -3.0])
-    ps["p"].grad = np.zeros(2)
-    Sgd(alpha=0.1).step(ps)
-    np.testing.assert_array_equal(ps["p"].data, [1.25, -3.0])
 
 
 def test_adam_single_step_magnitude_and_sign():
@@ -48,7 +34,7 @@ def test_step_rejects_missing_gradient():
 def test_step_clears_gradients():
     ps = param_set(p=[1.0])
     ps["p"].grad = np.array([1.0])
-    Sgd(alpha=0.1).step(ps)
+    Adam(alpha=0.1).step(ps)
     assert ps["p"].grad is None
 
 
@@ -86,8 +72,3 @@ def test_parameter_set_rejects_duplicates_and_keeps_order():
     assert ps.names() == ["b", "a"]
     with pytest.raises(OptimizerError, match="duplicate"):
         ps.add("a", Tensor(np.zeros(1), requires_grad=True))
-
-
-def test_make_optimizer_rejects_unknown():
-    with pytest.raises(OptimizerError, match="unknown optimizer"):
-        make_optimizer("momentum", 0.1)

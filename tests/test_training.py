@@ -1,0 +1,63 @@
+import numpy as np
+import pytest
+
+from conftest import numeric_grad, rel_err
+from labelalign import autodiff as ad
+from labelalign.model import ModelSpec, build_model
+from labelalign.training import TrainConfig, dla_loss, trainable_names
+
+SPEC = ModelSpec(image_hw=(8, 8), conv_channels=(2,), feature_dim=4, classes=3)
+BATCH = 6
+
+
+def batches(seed=0):
+    rng = np.random.default_rng(seed)
+    source = rng.standard_normal((BATCH, 1, 8, 8))
+    labels = rng.integers(0, SPEC.classes, BATCH)
+    target = rng.standard_normal((BATCH, 1, 8, 8))
+    return source, labels, target
+
+
+def worst_gradient_error(mode, gradient_mode, names=None):
+    """Largest relative error between the backward pass of ``dla_loss`` and
+    float64 central differences, over the named parameters (default: the
+    trainable ones)."""
+    cfg = TrainConfig(
+        lam=0.5, gamma=0.1, batch_size=BATCH, mode=mode, gradient_mode=gradient_mode,
+        dtype="float64",
+    )
+    params = build_model(SPEC, seed=4, dtype=np.float64)
+    source, labels, target = batches()
+    total, _, _ = dla_loss(params, SPEC, source, labels, target, cfg)
+    ad.backward(total)
+
+    worst = 0.0
+    for name in names or trainable_names(params, cfg):
+        tensor = params[name]
+        original = tensor.data
+
+        def loss_at(value):
+            tensor.data = value
+            return dla_loss(params, SPEC, source, labels, target, cfg)[1].total
+
+        (numeric,) = numeric_grad(loss_at, [original])
+        tensor.data = original
+        worst = max(worst, rel_err(tensor.grad, numeric))
+    return worst
+
+
+@pytest.mark.parametrize("mode", ["dla", "partial_la"])
+def test_full_mode_matches_finite_differences_on_every_parameter(mode):
+    assert worst_gradient_error(mode, "full") < 1e-6
+
+
+def test_projected_mode_matches_on_parameters_the_factors_do_not_depend_on():
+    assert worst_gradient_error("dla", "projected", ["head_w", "head_b", "k_hat"]) < 1e-6
+
+
+def test_no_adapt_matches_on_weights_and_leaves_the_gate_untrained():
+    params = build_model(SPEC, seed=4, dtype=np.float64)
+    names = trainable_names(params, TrainConfig(mode="no_adapt"))
+    assert "k_hat" not in names
+    assert sorted(names) == sorted(n for n in params.names() if n != "k_hat")
+    assert worst_gradient_error("no_adapt", "projected") < 1e-6
