@@ -15,7 +15,7 @@ from .data import ImageDataset, load_mnist, load_usps, make_synthetic, split_tar
 from .linearlab import gen_synthetic, identity_suite, linear_objective, solve_linear_uda
 from .model import DEFAULT_SPEC, ModelSpec, build_model
 from .optim import Adam, ParameterSet
-from .spectral import AlignmentGate, SvdFactors, gate_weights, spectral_filter, thin_svd
+from .spectral import SvdFactors, gate_weights, spectral_filter, thin_svd
 from .training import DlaLossParts, TrainConfig, TrainData, dla_loss, evaluate, train
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "build_model",
     "Adam",
     "ParameterSet",
-    "AlignmentGate",
     "SvdFactors",
     "gate_weights",
     "spectral_filter",

@@ -59,11 +59,7 @@ def save_checkpoint(path, params: ParameterSet, config_echo: dict[str, str]):
         )
         blobs.append(raw)
         offset += len(raw)
-    header = {
-        "config": dict(config_echo),
-        "params": entries,
-        "k_hat": float(params["k_hat"].data) if "k_hat" in params else None,
-    }
+    header = {"config": dict(config_echo), "params": entries}
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

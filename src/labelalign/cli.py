@@ -1,7 +1,8 @@
 """Command-line entry points: train, eval, linear-lab, plot.
 
 Exit codes: 0 success, 1 validation error (bad config, bad inputs), 2 runtime
-failure (aborted training, corrupt checkpoint, ...) or argparse usage error.
+failure (aborted or diverged training, corrupt checkpoint, ...) or argparse
+usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .data import (
 from .linearlab import LinearLabError, identity_suite
 from .model import DEFAULT_SPEC
 from .plotting import METRICS_HEADER, PlotError, plot_metrics
-from .training import ConfigError, TrainData, TrainingAborted, evaluate, train
+from .spectral import SpectralError
+from .training import ConfigError, TrainData, TrainingAborted, check_run, evaluate, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -148,6 +150,7 @@ def cmd_train(args) -> int:
         overrides[("output", "dir")] = args.out
     cfg = load_run_config(args.config, overrides)
     data = build_datasets(cfg)
+    check_run(cfg.train, data)
 
     out_dir = Path(cfg.output["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -223,9 +226,6 @@ def cmd_linear_lab(args) -> int:
             sizes.append((int(n), int(d)))
         except ValueError:
             raise ConfigError(f"bad size '{chunk}', expected NxD like 64x16")
-    for n, d in sizes:
-        if d > n:
-            raise ConfigError(f"the lab requires d <= n, got {n}x{d}")
     rows = identity_suite(
         sizes=tuple(sizes),
         k_star=args.k_star,
@@ -318,10 +318,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, LinearLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CheckpointError, TrainingAborted, PlotError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (CheckpointError, TrainingAborted, SpectralError, PlotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

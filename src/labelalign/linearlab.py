@@ -18,13 +18,6 @@ import numpy as np
 
 FORMS = ("full", "decomposed", "uda", "combined", "matrix_top", "matrix_bottom")
 
-IDENTITY_PAIRS = (
-    ("full", "decomposed"),
-    ("uda", "combined"),
-    ("decomposed_top", "matrix_top"),
-    ("trailing_target", "matrix_bottom"),
-)
-
 
 class LinearLabError(Exception):
     pass
@@ -91,8 +84,8 @@ def gen_synthetic(
         )
     if d > n:
         raise LinearLabError(f"the lab requires d <= n, got d={d}, n={n}")
-    if noise < 0:
-        raise LinearLabError(f"noise must be nonnegative, got {noise}")
+    if not 0 <= noise < np.inf:
+        raise LinearLabError(f"noise must be finite and nonnegative, got {noise}")
     rng = np.random.Generator(np.random.PCG64(seed))
     u = _orthonormal(rng, n, d)
     v = _orthonormal(rng, d, d)
@@ -278,10 +271,10 @@ def identity_suite(
     is then checked against the bound implied by the dropped alignment mass
     (everything else stays exact), and rows report that bound instead.
     """
+    if seeds < 1:
+        raise LinearLabError(f"the suite needs seeds >= 1, got {seeds}")
     rows: list[ResidualRow] = []
     for n, d in sizes:
-        if d > n:
-            raise LinearLabError(f"the lab requires d <= n, got d={d}, n={n}")
         k = min(k_star, d)
         for seed in range(seeds):
             problem = gen_synthetic(n, d, k, k, noise=noise, seed=seed)

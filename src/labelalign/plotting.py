@@ -10,8 +10,10 @@ term (both on the left loss axis) and the validation accuracy (right axis,
 from __future__ import annotations
 
 import csv
+import math
 
 METRICS_HEADER = "step,total,cls,align,k_reg,k,src_acc,val_acc,wall_ms"
+_OPTIONAL = ("val_acc", "wall_ms")
 
 _WIDTH, _HEIGHT = 960, 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 70, 40, 50
@@ -22,6 +24,8 @@ class PlotError(Exception):
 
 
 def read_metrics(path) -> list[dict]:
+    """Data rows as ``{column: number}``; an empty ``val_acc`` or ``wall_ms``
+    cell reads as None.  Raises :class:`PlotError` naming the first bad line."""
     with open(path, "r", newline="") as fh:
         first = fh.readline().rstrip("\r\n")
         if first != METRICS_HEADER:
@@ -29,10 +33,27 @@ def read_metrics(path) -> list[dict]:
                 f"{path}: missing or reordered columns; expected header '{METRICS_HEADER}'"
             )
         fh.seek(0)
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = [_parse_row(f"{path}: line {reader.line_num}", raw) for raw in reader]
     if not rows:
         raise PlotError(f"{path}: no data rows")
     return rows
+
+
+def _parse_row(where: str, raw: dict) -> dict:
+    if None in raw or None in raw.values():
+        raise PlotError(f"{where}: expected {METRICS_HEADER.count(',') + 1} cells")
+    row = dict.fromkeys(_OPTIONAL)
+    for key, text in raw.items():
+        if text == "" and key in _OPTIONAL:
+            continue
+        try:
+            row[key] = int(text) if key == "step" else float(text)
+        except ValueError:
+            raise PlotError(f"{where}: {key} '{text}' is not a number") from None
+        if not math.isfinite(row[key]):
+            raise PlotError(f"{where}: {key} is {text}, not a finite number")
+    return row
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -48,10 +69,10 @@ def _polyline(points: list[tuple[float, float]], color: str) -> str:
 
 
 def render_chart(rows: list[dict], title: str = "training curves") -> str:
-    steps = [int(r["step"]) for r in rows]
-    cls = [float(r["cls"]) for r in rows]
-    align = [float(r["align"]) for r in rows]
-    val = [(int(r["step"]), float(r["val_acc"])) for r in rows if r["val_acc"] != ""]
+    steps = [r["step"] for r in rows]
+    cls = [r["cls"] for r in rows]
+    align = [r["align"] for r in rows]
+    val = [(r["step"], r["val_acc"]) for r in rows if r["val_acc"] is not None]
 
     x_lo, x_hi = min(steps), max(steps)
     x_span = max(x_hi - x_lo, 1)

@@ -1,21 +1,22 @@
 """Thin SVD, sigmoid soft-gating of the spectrum, and differentiable filters.
 
 A feature matrix ``phi`` (n x d) factors as ``U diag(sigma) V^T`` with
-``r = min(n, d)``.  A learnable scalar ``k_hat`` is squashed to
-``k = sigmoid(k_hat) in (0, 1)`` and turned into per-index gate weights
+``r = min(n, d)``.  :func:`gate_weights` turns a normalized cut position
+``k in (0, 1)`` (the caller's ``sigmoid(k_hat)``) into per-index weights
 
     w_i = 1 / (1 + exp(beta * (i - k*r)))        for i = 1..r
 
 so ``w`` decays from ~1 to ~0 around the real-valued cut index ``k*r``.
-The *top* filter reconstructs ``U diag(w * sigma) V^T`` (keeps the leading
-spectrum), the *bottom* filter uses ``(1 - w) * sigma`` (keeps the trailing
-spectrum); the two always sum back to the reconstruction of ``phi``.
+:func:`spectral_filter` takes such a weight tensor: the *top* filter
+reconstructs ``U diag(w * sigma) V^T`` (keeps the leading spectrum), the
+*bottom* filter uses ``(1 - w) * sigma`` (keeps the trailing spectrum); for
+the same ``w`` the two always sum back to the reconstruction of ``phi``.
 
 Gradients come in two flavours:
 
 * ``projected`` (default): the factors are treated as constants and the
   gradient w.r.t. ``phi`` flows through the algebraically equal projection
-  ``phi @ V diag(w) V^T``; the gradient w.r.t. ``k_hat`` flows through ``w``.
+  ``phi @ V diag(w) V^T``; the gradient w.r.t. ``k`` flows through ``w``.
 * ``full``: additionally differentiates through the factors themselves with
   the standard SVD differential; cross-singular-value denominators
   ``sigma_j^2 - sigma_i^2`` are clamped in magnitude to avoid blowups on
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, _make, _sigmoid_values, scale, sigmoid, sub
+from .autodiff import Tensor, _accumulate, _make, scale, sigmoid, sub
 
 logger = logging.getLogger(__name__)
 
@@ -97,43 +98,16 @@ def thin_svd(phi) -> SvdFactors:
 # ---------------------------------------------------------------------------
 
 
-def gate_weights(k_hat: Tensor, beta: float, r: int) -> Tensor:
-    """Soft gate weights over spectrum indices 1..r, differentiable in k_hat."""
+def gate_weights(k: Tensor, beta: float, r: int) -> Tensor:
+    """Soft gate weights over spectrum indices 1..r for the normalized cut
+    ``k`` in (0, 1); differentiable in ``k``."""
     if r < 1:
         raise SpectralError(f"gate needs r >= 1, got {r}")
     if beta <= 0:
         raise SpectralError(f"gate sharpness must be positive, got {beta}")
-    idx = Tensor(np.arange(1, r + 1, dtype=k_hat.data.dtype))
-    k = sigmoid(k_hat)
+    idx = Tensor(np.arange(1, r + 1, dtype=k.data.dtype))
     # w = sigmoid(beta * (k*r - i)) == 1 / (1 + exp(beta * (i - k*r)))
     return sigmoid(scale(sub(scale(k, float(r)), idx), float(beta)))
-
-
-@dataclass
-class AlignmentGate:
-    """Learnable pre-sigmoid cut parameter plus fixed sharpness.
-
-    ``k_hat`` is unconstrained; ``k = sigmoid(k_hat)`` stays in (0, 1) and
-    places the half-open gate at real-valued index ``k * r``.
-    """
-
-    k_hat: Tensor
-    beta: float
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise SpectralError(f"gate sharpness must be positive, got {self.beta}")
-
-    def k(self) -> float:
-        return float(_sigmoid_values(np.asarray(self.k_hat.data, dtype=np.float64)))
-
-    def weights(self, r: int) -> Tensor:
-        return gate_weights(self.k_hat, self.beta, r)
-
-
-def ones_gate_weights(r: int, dtype=np.float64) -> Tensor:
-    """Constant all-ones gate: the saturated limit of the learned gate."""
-    return Tensor(np.ones(r, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +190,21 @@ def _filter_node(phi: Tensor, factors: SvdFactors, w: Tensor, side: str, mode: s
     return _make(out_data, (phi, w), backward)
 
 
-def spectral_filter(phi: Tensor, gate, side: str, mode: str = "projected") -> Tensor:
+def spectral_filter(phi: Tensor, w: Tensor, side: str, mode: str = "projected") -> Tensor:
     """Gate-weighted spectral reconstruction of ``phi``.
 
     ``side='top'`` keeps the leading spectrum (weights ``w``), ``'bottom'``
     the trailing one (weights ``1 - w``); the two sides sum to the
-    reconstruction of ``phi``.  ``gate`` is an :class:`AlignmentGate` or a
-    precomputed weight tensor of length ``min(phi.shape)``.
+    reconstruction of ``phi``.  ``w`` is a weight tensor of length
+    ``min(phi.shape)``, usually from :func:`gate_weights`.
     """
     if side not in FILTER_SIDES:
         raise SpectralError(f"unknown filter side '{side}'")
     if mode not in GRADIENT_MODES:
         raise SpectralError(f"unknown gradient mode '{mode}'")
     factors = thin_svd(phi)
-    r = factors.rank
-    if isinstance(gate, AlignmentGate):
-        w = gate.weights(r)
-    else:
-        w = gate
-        if w.data.shape != (r,):
-            raise SpectralError(
-                f"gate weights shape {w.data.shape} does not match spectrum length {r}"
-            )
+    if w.data.shape != (factors.rank,):
+        raise SpectralError(
+            f"gate weights shape {w.data.shape} does not match spectrum length {factors.rank}"
+        )
     return _filter_node(phi, factors, w, side, mode)

@@ -1,16 +1,17 @@
 """The adaptation objective and the training loop.
 
 Per step: sample a labeled source batch and an unlabeled target batch, push
-both through the feature extractor, split each feature matrix spectrally with
-a shared learnable gate, then minimize
+both through the feature extractor, build one gate ``w`` from the learnable
+cut ``k = sigmoid(k_hat)``, split both feature matrices spectrally with that
+same ``w``, then minimize
 
     CE(g(top(source))) + lam * ||softmax(g(bottom(target)))||^2 + gamma * k^2
 
-where ``CE`` is the softmax cross-entropy and ``k = sigmoid(k_hat)`` is the
-normalized gate position.  The bottom filter keeps only the trailing spectrum
-of the target features; the alignment term, smallest at a uniform softmax,
-drives ``g`` to no class preference there, suppressing directions carrying
-no label variation.
+where ``CE`` is the softmax cross-entropy and ``k`` is the normalized gate
+position.  The top filter keeps the leading spectrum of the source features,
+the bottom filter the trailing spectrum of the target features; the alignment
+term, smallest at a uniform softmax, drives ``g`` to no class preference
+there, suppressing directions carrying no label variation.
 
 Modes:
 
@@ -26,17 +27,19 @@ single-example inference, so accuracy is measured on raw features.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from . import spectral
 from .autodiff import Tensor
 from .data import BatchSampler, ImageDataset, next_batch
 from .model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
 from .optim import Adam, ParameterSet
-from .spectral import GRADIENT_MODES, AlignmentGate, spectral_filter
+from .spectral import GRADIENT_MODES, spectral_filter
 
 MODES = ("dla", "no_adapt", "partial_la")
 DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -76,14 +79,14 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 0 < self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.val_every < 0:
             raise ConfigError(f"val_every must be >= 0, got {self.val_every}")
         for name, value, allowed in (
@@ -145,58 +148,41 @@ def dla_loss(
     cfg: TrainConfig,
 ) -> tuple[Tensor, DlaLossParts, np.ndarray]:
     """One objective evaluation; returns the total loss tensor, the raw loss
-    parts, and the detached source probabilities (for batch accuracy)."""
-    dtype = cfg.np_dtype
-    x = Tensor(np.asarray(source_images, dtype=dtype))
+    parts, and the detached source probabilities (for batch accuracy).
+
+    One gate ``w`` serves both the source top and the target bottom filter, so
+    both feature matrices need the same ``min(rows, features)``; ``train``
+    ensures it, and a direct call that does not fails the filter's shape check.
+    """
     if len(source_images) == 0:
         raise ConfigError("source batch is empty")
     if cfg.mode == "dla" and target_images is None:
         raise ConfigError("dla mode needs a target batch")
 
-    gate = AlignmentGate(k_hat=params["k_hat"], beta=cfg.beta)
-    k_value = gate.k()
-    phi = forward_features(params, spec, x)
+    dtype = cfg.np_dtype
+    k = ad.sigmoid(params["k_hat"])
+    phi = forward_features(params, spec, Tensor(np.asarray(source_images, dtype=dtype)))
+    if cfg.mode != "no_adapt":
+        w = spectral.gate_weights(k, cfg.beta, min(phi.shape))
+        phi = spectral_filter(phi, w, "top", cfg.gradient_mode)
+    cls_t, probs = ad.softmax_cross_entropy(forward_head(params, phi), source_labels)
 
-    if cfg.mode == "no_adapt":
-        logits = forward_head(params, phi)
-        cls_t, probs = ad.softmax_cross_entropy(logits, source_labels)
-        total_t = cls_t
-        parts = DlaLossParts(
-            cls=float(cls_t.data), align=0.0, k_reg=0.0, total=float(total_t.data), k=k_value
-        )
-        return total_t, parts, probs.data
-
-    phi_top = spectral_filter(phi, gate, "top", cfg.gradient_mode)
-    logits = forward_head(params, phi_top)
-    cls_t, probs = ad.softmax_cross_entropy(logits, source_labels)
-
-    align_t = None
-    if cfg.mode == "dla" and target_images is not None:
-        x_t = Tensor(np.asarray(target_images, dtype=dtype))
+    total_t, align, k_reg = cls_t, 0.0, 0.0
+    if cfg.mode == "dla":
         if len(target_images) == 0:
             raise ConfigError("target batch is empty")
-        phi_t = forward_features(params, spec, x_t)
-        if phi_t.shape[1] != phi.shape[1]:
-            raise ConfigError(
-                f"feature width mismatch: source {phi.shape[1]} vs target {phi_t.shape[1]}"
-            )
-        phi_bottom = spectral_filter(phi_t, gate, "bottom", cfg.gradient_mode)
+        phi_t = forward_features(params, spec, Tensor(np.asarray(target_images, dtype=dtype)))
+        phi_bottom = spectral_filter(phi_t, w, "bottom", cfg.gradient_mode)
         align_t = ad.mean_squared_norm(ad.softmax(forward_head(params, phi_bottom)))
-
-    k_t = ad.sigmoid(params["k_hat"])
-    kreg_t = ad.mul(k_t, k_t)
-
-    total_t = cls_t
-    if align_t is not None:
         total_t = ad.add(total_t, ad.scale(align_t, cfg.lam))
-    total_t = ad.add(total_t, ad.scale(kreg_t, cfg.gamma))
+        align = float(align_t.data)
+    if cfg.mode != "no_adapt":
+        kreg_t = ad.mul(k, k)
+        total_t = ad.add(total_t, ad.scale(kreg_t, cfg.gamma))
+        k_reg = float(kreg_t.data)
 
     parts = DlaLossParts(
-        cls=float(cls_t.data),
-        align=0.0 if align_t is None else float(align_t.data),
-        k_reg=float(kreg_t.data),
-        total=float(total_t.data),
-        k=k_value,
+        cls=float(cls_t.data), align=align, k_reg=k_reg, total=float(total_t.data), k=float(k.data)
     )
     return total_t, parts, probs.data
 
@@ -207,6 +193,21 @@ def trainable_names(params: ParameterSet, cfg: TrainConfig) -> list[str]:
     if cfg.mode != "no_adapt":
         names.append("k_hat")
     return names
+
+
+def check_run(cfg: TrainConfig, data: TrainData):
+    """Raise :class:`ConfigError` for a run that cannot start: an invalid
+    config, ``dla`` without a target dataset, or a batch larger than a
+    dataset the run draws from."""
+    cfg.validate()
+    if cfg.mode == "dla" and data.target is None:
+        raise ConfigError("dla mode needs an unlabeled target dataset")
+    target = data.target if cfg.mode == "dla" else None
+    for name, dataset in (("source", data.source), ("target", target)):
+        if dataset is not None and cfg.batch_size > len(dataset):
+            raise ConfigError(
+                f"batch_size {cfg.batch_size} exceeds the {name} dataset size {len(dataset)}"
+            )
 
 
 def train(
@@ -220,17 +221,8 @@ def train(
     Aborts with :class:`TrainingAborted` on a non-finite loss rather than
     skipping the step; gradient-mode blowups should surface, not hide.
     """
-    cfg.validate()
-    if cfg.mode == "dla" and data.target is None:
-        raise ConfigError("dla mode needs an unlabeled target dataset")
-
+    check_run(cfg, data)
     target = data.target if cfg.mode == "dla" else None
-    for name, dataset in (("source", data.source), ("target", target)):
-        if dataset is not None and cfg.batch_size > len(dataset):
-            raise ConfigError(
-                f"batch_size {cfg.batch_size} exceeds the {name} dataset size {len(dataset)}"
-            )
-
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
     params = build_model(spec, int(seeds[0]), dtype=cfg.np_dtype)
     optimizer = Adam(cfg.alpha)

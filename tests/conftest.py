@@ -1,8 +1,4 @@
-import os
-from pathlib import Path
-
 import numpy as np
-import pytest
 
 
 def rel_err(a, b) -> float:
@@ -32,30 +28,3 @@ def numeric_grad(fn, arrays, eps=1e-6):
             gflat[i] = (hi - lo) / (2 * step)
         grads.append(g)
     return grads
-
-
-def data_root() -> Path:
-    return Path(os.environ.get("LABELALIGN_DATA_DIR", "data"))
-
-
-def real_data_files() -> dict[str, Path]:
-    root = data_root()
-    return {
-        "mnist_train_images": root / "mnist/train-images-idx3-ubyte.gz",
-        "mnist_train_labels": root / "mnist/train-labels-idx1-ubyte.gz",
-        "mnist_test_images": root / "mnist/t10k-images-idx3-ubyte.gz",
-        "mnist_test_labels": root / "mnist/t10k-labels-idx1-ubyte.gz",
-        "usps_train": root / "usps/usps.bz2",
-        "usps_test": root / "usps/usps.t.bz2",
-    }
-
-
-def have_real_data() -> bool:
-    return all(p.exists() for p in real_data_files().values())
-
-
-requires_real_data = pytest.mark.skipif(
-    not have_real_data(),
-    reason="MNIST/USPS files not present under "
-    f"{data_root()} (see the \"Data files\" section of README.md)",
-)

@@ -1,6 +1,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from labelalign.checkpoint import MAGIC, VERSION
@@ -142,3 +143,18 @@ def test_batch_larger_than_a_dataset_exits_1(tmp_path, capsys, edits, message):
     config.write_text(text)
     assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_diverging_run_exits_2(tmp_path, capsys):
+    config = tmp_path / "diverge.ini"
+    config.write_text(TINY.replace("[train]\n", "[train]\nalpha = 1e20\n"))
+    with np.errstate(all="ignore"):
+        assert run_train(config, tmp_path / "run") == EXIT_RUNTIME
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_linear_lab_without_seeds_exits_1(capsys, seeds):
+    assert main(["linear-lab", "--sizes", "16x4", "--seeds", seeds]) == EXIT_VALIDATION
+    assert "seeds >= 1" in capsys.readouterr().err

@@ -77,6 +77,10 @@ def test_unknown_keys_rejected_on_both_paths(tmp_path, section, key, message):
         ("train", "steps", "many", "invalid value for 'steps'"),
         ("train", "timing", "maybe", "expected a boolean"),
         ("train", "mode", "adapt", "mode must be one of"),
+        ("train", "lam", "nan", "lam must be finite and >= 0"),
+        ("train", "gamma", "inf", "gamma must be finite"),
+        ("train", "beta", "nan", "beta must be finite"),
+        ("train", "alpha", "-inf", "alpha must be finite and > 0"),
         ("data", "dataset", "cifar", "dataset must be one of"),
         ("output", "metrics_every", "0", "metrics_every must be >= 1"),
         ("output", "checkpoint_every", "-1", "checkpoint_every must be >= 0"),

@@ -47,8 +47,9 @@ def test_generation_validates_ranks():
         gen_synthetic(10, 4, k_star=0, k_tilde_star=2)
     with pytest.raises(LinearLabError):
         gen_synthetic(4, 10, k_star=2, k_tilde_star=2)
-    with pytest.raises(LinearLabError):
-        gen_synthetic(10, 4, 2, 2, noise=-0.1)
+    for noise in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(LinearLabError, match="noise must be finite and nonnegative"):
+            gen_synthetic(10, 4, 2, 2, noise=noise)
 
 
 def test_factors_are_a_valid_svd():

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,14 +8,7 @@ from hypothesis import strategies as st
 
 from labelalign import autodiff as ad
 from labelalign.autodiff import Tensor, backward
-from labelalign.spectral import (
-    AlignmentGate,
-    SpectralError,
-    gate_weights,
-    ones_gate_weights,
-    spectral_filter,
-    thin_svd,
-)
+from labelalign.spectral import SpectralError, gate_weights, spectral_filter, thin_svd
 
 from conftest import numeric_grad, rel_err
 
@@ -23,11 +17,25 @@ def t64(arr, grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
 
 
-def gate_for(k_times_r_over_r, beta, grad=True):
+@dataclass
+class Gate:
+    """A learnable ``k_hat`` whose weights go through the whole
+    sigmoid -> gate chain, so ``k_hat.grad`` checks all of it."""
+
+    k_hat: Tensor
+    beta: float
+
+    def weights(self, r):
+        return gate_weights(ad.sigmoid(self.k_hat), self.beta, r)
+
+
+def gate_for(k, beta, grad=True):
     """Gate whose normalized cut equals the given k value."""
-    k = k_times_r_over_r
-    k_hat = np.log(k / (1.0 - k))
-    return AlignmentGate(k_hat=t64(k_hat, grad=grad), beta=beta)
+    return Gate(k_hat=t64(np.log(k / (1.0 - k)), grad=grad), beta=beta)
+
+
+def gate_filter(phi, gate, side, mode="projected"):
+    return spectral_filter(phi, gate.weights(min(phi.shape)), side, mode)
 
 
 def weights_oracle(k_hat, beta, r):
@@ -110,7 +118,7 @@ def test_thin_svd_deterministic():
 def test_gate_midpoint_is_half():
     # k*r = 5 with r = 10: the weight at index 5 is exactly 0.5
     for beta in (0.5, 5.0, 1e4):
-        w = gate_weights(t64(0.0, grad=True), beta, 10)  # sigmoid(0) = 0.5 -> k*r = 5
+        w = gate_for(0.5, beta).weights(10)  # k*r = 5
         assert w.data[4] == 0.5
 
 
@@ -124,7 +132,7 @@ def test_gate_hard_cut_vector():
 def test_gate_low_k_hat_limit_small_and_monotone():
     # k -> 0 pushes the cut below index 1, so w_i -> sigmoid(-beta * i)
     beta = 5.0
-    w = gate_weights(t64(-30.0, grad=True), beta, 8).data
+    w = Gate(k_hat=t64(-30.0, grad=True), beta=beta).weights(8).data
     assert w.max() <= 1.0 / (1.0 + np.exp(beta)) + 1e-12
     assert (np.diff(w) <= 0).all()
 
@@ -135,7 +143,7 @@ def test_gate_matches_direct_formula():
         k_hat = rng.uniform(-3, 3)
         beta = rng.uniform(0.5, 20)
         r = int(rng.integers(2, 40))
-        w = gate_weights(t64(k_hat, grad=True), beta, r)
+        w = Gate(k_hat=t64(k_hat, grad=True), beta=beta).weights(r)
         np.testing.assert_allclose(w.data, weights_oracle(k_hat, beta, r), atol=1e-12)
 
 
@@ -147,22 +155,22 @@ def test_gate_matches_direct_formula():
 @settings(max_examples=50, deadline=None)
 def test_gate_strictly_decreasing_in_open_interval(k_hat, beta, r):
     # far from float saturation: arguments stay within +-30
-    w = gate_weights(t64(k_hat, grad=True), beta, r).data
+    w = Gate(k_hat=t64(k_hat, grad=True), beta=beta).weights(r).data
     assert (np.diff(w) < 0).all()
     assert (w > 0).all() and (w < 1).all()
 
 
 def test_gate_k_stays_in_unit_interval():
     for k_hat in (-1e6, -5.0, 0.0, 5.0, 1e6):
-        gate = AlignmentGate(k_hat=t64(k_hat), beta=5.0)
-        assert 0.0 <= gate.k() <= 1.0
+        k = float(ad.sigmoid(t64(k_hat)).data)
+        assert 0.0 <= k <= 1.0
         if abs(k_hat) < 20:
-            assert 0.0 < gate.k() < 1.0
+            assert 0.0 < k < 1.0
 
 
 def test_gate_rejects_bad_sharpness():
     with pytest.raises(SpectralError):
-        AlignmentGate(k_hat=t64(0.0), beta=0.0)
+        gate_weights(t64(0.5), 0.0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +184,15 @@ def test_complementarity_on_random_inputs():
         n, d = int(rng.integers(3, 24)), int(rng.integers(3, 24))
         phi = t64(rng.standard_normal((n, d)))
         gate = gate_for(rng.uniform(0.1, 0.9), beta=rng.uniform(0.5, 50))
-        top = spectral_filter(phi, gate, "top")
-        bottom = spectral_filter(phi, gate, "bottom")
+        top = gate_filter(phi, gate, "top")
+        bottom = gate_filter(phi, gate, "bottom")
         assert rel_err(top.data + bottom.data, phi.data) <= 1e-6
 
 
 def test_all_ones_gate_returns_input():
     rng = np.random.default_rng(12)
     phi = t64(rng.standard_normal((9, 6)))
-    w = ones_gate_weights(6)
+    w = t64(np.ones(6))
     out = spectral_filter(phi, w, "top")
     assert rel_err(out.data, phi.data) <= 1e-6
     bottom = spectral_filter(phi, w, "bottom")
@@ -197,11 +205,11 @@ def test_saturated_k_hat_gates_all_but_last_index():
     # differs from the input by half the smallest spectral component.
     rng = np.random.default_rng(13)
     phi_arr = rng.standard_normal((10, 6))
-    gate = AlignmentGate(k_hat=t64(100.0, grad=True), beta=1e4)
+    gate = Gate(k_hat=t64(100.0, grad=True), beta=1e4)
     w = gate.weights(6).data
     np.testing.assert_allclose(w[:-1], np.ones(5), atol=1e-12)
     assert w[-1] == 0.5
-    out = spectral_filter(t64(phi_arr), gate, "top")
+    out = gate_filter(t64(phi_arr), gate, "top")
     sigma_min = thin_svd(phi_arr).sigma[-1]
     assert np.linalg.norm(out.data - phi_arr) <= 0.5 * sigma_min + 1e-9
 
@@ -212,7 +220,7 @@ def test_hard_gate_matches_exact_rank_truncation():
         phi_arr = rng.standard_normal((n, d))
         r = min(n, d)
         gate = gate_for((m + 0.5) / r, beta=1e4)
-        top = spectral_filter(t64(phi_arr), gate, "top")
+        top = gate_filter(t64(phi_arr), gate, "top")
         # oracle: plain numpy truncation, independent of the filter path
         u, s, vt = np.linalg.svd(phi_arr, full_matrices=False)
         truncated = (u[:, :m] * s[:m]) @ vt[:m]
@@ -224,8 +232,8 @@ def test_forward_identical_across_gradient_modes():
     phi_arr = rng.standard_normal((7, 9))
     gate = gate_for(0.4, beta=8.0)
     for side in ("top", "bottom"):
-        a = spectral_filter(t64(phi_arr, grad=True), gate, side, "projected")
-        b = spectral_filter(t64(phi_arr, grad=True), gate, side, "full")
+        a = gate_filter(t64(phi_arr, grad=True), gate, side, "projected")
+        b = gate_filter(t64(phi_arr, grad=True), gate, side, "full")
         assert rel_err(a.data, b.data) <= 1e-6
         np.testing.assert_array_equal(a.data, b.data)
 
@@ -234,11 +242,11 @@ def test_filter_rejects_bad_arguments():
     phi = t64(np.ones((3, 3)))
     gate = gate_for(0.5, beta=5.0)
     with pytest.raises(SpectralError):
-        spectral_filter(phi, gate, "middle")
+        gate_filter(phi, gate, "middle")
     with pytest.raises(SpectralError):
-        spectral_filter(phi, gate, "top", "half")
+        gate_filter(phi, gate, "top", "half")
     with pytest.raises(SpectralError):
-        spectral_filter(phi, ones_gate_weights(5), "top")
+        spectral_filter(phi, t64(np.ones(5)), "top")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +266,7 @@ def test_projected_gradient_wrt_phi(side, shape):
     proj = (factors.v * w_applied) @ factors.v.T
 
     phi = t64(phi0, grad=True)
-    out = spectral_filter(phi, gate, side, "projected")
+    out = gate_filter(phi, gate, side, "projected")
     backward(ad.tsum(ad.mul(out, out)))
 
     def frozen(arr):
@@ -278,7 +286,7 @@ def test_projected_gradient_wrt_k_hat(side):
     gate = gate_for(0.5, beta=beta)
     k_hat0 = float(gate.k_hat.data)
 
-    out = spectral_filter(t64(phi0), gate, side, "projected")
+    out = gate_filter(t64(phi0), gate, side, "projected")
     backward(ad.tsum(ad.mul(out, out)))
 
     def frozen(k_hat_arr):
@@ -307,7 +315,7 @@ def test_full_gradient_wrt_phi(side, shape):
     k_hat0 = float(gate.k_hat.data)
 
     phi = t64(phi0, grad=True)
-    out = spectral_filter(phi, gate, side, "full")
+    out = gate_filter(phi, gate, side, "full")
     backward(ad.tsum(ad.mul(out, out)))
 
     def true_loss(arr):
@@ -329,7 +337,7 @@ def test_full_gradient_wrt_k_hat():
     gate = gate_for(0.6, beta=beta)
     k_hat0 = float(gate.k_hat.data)
 
-    out = spectral_filter(t64(phi0), gate, "top", "full")
+    out = gate_filter(t64(phi0), gate, "top", "full")
     backward(ad.tsum(ad.mul(out, out)))
 
     def true_loss(k_hat_arr):
@@ -349,7 +357,7 @@ def test_full_mode_degenerate_spectrum_warns_and_stays_finite(caplog):
     phi = t64(phi0, grad=True)
     gate = gate_for(0.5, beta=5.0)
     with caplog.at_level(logging.WARNING, logger="labelalign.spectral"):
-        out = spectral_filter(phi, gate, "top", "full")
+        out = gate_filter(phi, gate, "top", "full")
         backward(ad.tsum(ad.mul(out, out)))
     assert any("degenerate spectrum" in m for m in caplog.messages)
     assert np.isfinite(phi.grad).all()
@@ -361,7 +369,7 @@ def test_gradients_deterministic_across_runs():
     def run():
         phi = t64(rng_data, grad=True)
         gate = gate_for(0.4, beta=7.0)
-        out = spectral_filter(phi, gate, "top", "projected")
+        out = gate_filter(phi, gate, "top", "projected")
         backward(ad.tsum(ad.mul(out, out)))
         return phi.grad.copy(), gate.k_hat.grad.copy()
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import numeric_grad, rel_err
 from labelalign import autodiff as ad
 from labelalign.model import ModelSpec, build_model
+from labelalign.spectral import SpectralError
 from labelalign.training import TrainConfig, dla_loss, trainable_names
 
 SPEC = ModelSpec(image_hw=(8, 8), conv_channels=(2,), feature_dim=4, classes=3)
@@ -61,3 +62,14 @@ def test_no_adapt_matches_on_weights_and_leaves_the_gate_untrained():
     assert "k_hat" not in names
     assert sorted(names) == sorted(n for n in params.names() if n != "k_hat")
     assert worst_gradient_error("no_adapt", "projected") < 1e-6
+
+
+def test_target_batch_with_another_spectrum_length_is_refused():
+    # one gate serves both filters, so the target's min(rows, features) must
+    # match the source's: 3 target rows give 3 singular values, not 4
+    cfg = TrainConfig(batch_size=BATCH, dtype="float64")
+    params = build_model(SPEC, seed=4, dtype=np.float64)
+    source, labels, target = batches()
+    dla_loss(params, SPEC, source, labels, target[:5], cfg)  # 5 rows, still 4 values
+    with pytest.raises(SpectralError, match="does not match spectrum length 3"):
+        dla_loss(params, SPEC, source, labels, target[:3], cfg)
