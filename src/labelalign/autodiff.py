@@ -9,7 +9,8 @@ stale tape cannot be replayed by accident.
 
 Arrays are float32 or float64 and never upcast silently: training code runs
 at float32 while numerical test oracles run the same code paths at float64.
-Convolution tensors use the NCHW layout.
+Convolution and pooling take channels-last (NHWC) activations; kernels are
+OIHW.
 """
 
 from __future__ import annotations
@@ -236,6 +237,15 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def transpose(a: Tensor, axes) -> Tensor:
+    inverse = np.argsort(axes)
+
+    def backward(out):
+        _accumulate(a, out.grad.transpose(inverse))
+
+    return _make(a.data.transpose(axes), (a,), backward)
+
+
 def tsum(a: Tensor) -> Tensor:
     out_data = a.data.sum()
 
@@ -246,12 +256,13 @@ def tsum(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution / pooling (NCHW)
+# convolution / pooling (NHWC activations, OIHW kernels)
 # ---------------------------------------------------------------------------
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation with zero padding.
+    """Cross-correlation of an NHWC input with an OIHW kernel, zero padded;
+    the output is NHWC.
 
     Output spatial size is ``(h + 2*padding - kh) // stride + 1`` (same for
     width).  Differentiable w.r.t. both the input and the kernel.
@@ -263,9 +274,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise AutodiffError(f"conv2d stride must be >= 1, got {stride}")
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise AutodiffError(
-            f"conv2d expects NCHW input and OIHW kernel, got {x.data.shape} and {kernel.data.shape}"
+            f"conv2d expects NHWC input and OIHW kernel, got {x.data.shape} and {kernel.data.shape}"
         )
-    b, c, h, w = x.data.shape
+    b, h, w, c = x.data.shape
     o, kc, kh, kw = kernel.data.shape
     if kc != c:
         raise AutodiffError(
@@ -281,64 +292,52 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     xp = x.data
     if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (b, c, ho, wo, kh, kw)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        b * ho * wo, c * kh * kw
-    )
+        xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    # (b, ho, wo, c, kh, kw): rows are output pixels, columns match the OIHW kernel
+    cols = windows[:, ::stride, ::stride].reshape(b * ho * wo, c * kh * kw)
     kmat = kernel.data.reshape(o, c * kh * kw)
-    out_data = (cols @ kmat.T).reshape(b, ho, wo, o).transpose(0, 3, 1, 2)
+    out_data = (cols @ kmat.T).reshape(b, ho, wo, o)
 
     def backward(out):
-        g = np.ascontiguousarray(out.grad.transpose(0, 2, 3, 1)).reshape(
-            b * ho * wo, o
-        )
+        g = out.grad.reshape(b * ho * wo, o)
         if kernel.requires_grad:
             _accumulate(kernel, (g.T @ cols).reshape(o, c, kh, kw))
         if x.requires_grad:
             dcols = (g @ kmat).reshape(b, ho, wo, c, kh, kw)
-            dxp = np.zeros((b, c, hp, wp), dtype=x.data.dtype)
+            dxp = np.zeros((b, hp, wp, c), dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                        dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                    )
-            if padding:
-                dxp = dxp[:, :, padding : padding + h, padding : padding + w]
-            _accumulate(x, dxp)
+                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[..., i, j]
+            _accumulate(x, dxp[:, padding : padding + h, padding : padding + w])
 
     return _make(out_data, (x, kernel), backward)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; odd trailing rows/columns are dropped.
+    """2x2 max pooling with stride 2 over the H and W axes of an NHWC input;
+    odd trailing rows/columns are dropped.
 
     Ties inside a window go to the first element in row-major order so the
     backward pass is deterministic.
     """
-    b, c, h, w = x.data.shape
+    h, w = x.data.shape[1:3]
     ho, wo = h // 2, w // 2
     if ho < 1 or wo < 1:
         raise AutodiffError(f"maxpool2x2 needs at least 2x2 input, got {h}x{w}")
-    win = (
-        x.data[:, :, : ho * 2, : wo * 2]
-        .reshape(b, c, ho, 2, wo, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, ho, wo, 4)
-    )
-    arg = win.argmax(axis=-1)  # first occurrence wins on ties
-    out_data = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    # the four window positions in row-major order, each a strided (b, ho, wo, c) view
+    corners = [np.s_[:, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1)]
+    p, q, r, s = (x.data[k] for k in corners)
+    out_data = np.maximum(np.maximum(p, q), np.maximum(r, s))
 
     def backward(out):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, arg[..., None], out.grad[..., None], axis=-1)
         dx = np.zeros_like(x.data)
-        dx[:, :, : ho * 2, : wo * 2] = (
-            dwin.reshape(b, c, ho, wo, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, ho * 2, wo * 2)
-        )
+        free = np.ones(out_data.shape, dtype=bool)  # windows whose max is not yet placed
+        for k in corners:
+            hit = x.data[k] == out_data
+            hit &= free
+            np.multiply(out.grad, hit, out=dx[k])
+            free ^= hit
         _accumulate(x, dx)
 
     return _make(out_data, (x,), backward)

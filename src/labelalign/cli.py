@@ -29,7 +29,6 @@ from .data import (
 from .linearlab import LinearLabError, identity_suite
 from .model import DEFAULT_SPEC
 from .plotting import METRICS_HEADER, PlotError, plot_metrics
-from .spectral import SpectralError
 from .training import ConfigError, TrainData, TrainingAborted, check_run, evaluate, train
 
 EXIT_OK = 0
@@ -318,7 +317,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, LinearLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CheckpointError, TrainingAborted, SpectralError, PlotError, OSError) as exc:
+    except (CheckpointError, TrainingAborted, PlotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -2,10 +2,11 @@
 mapping images to a flat feature row per sample, and a dense head ``g``
 mapping features to class scores.
 
-Default architecture: conv 3x3x16 (stride 1, pad 1) -> ReLU -> maxpool 2 ->
-conv 3x3x32 (pad 1) -> ReLU -> maxpool 2 -> flatten -> dense to 128 features,
-head dense 128 -> 10.  Sized so that a 128-sample batch yields a 128x128
-feature matrix for the per-batch SVD.
+Default architecture: conv 3x3x16 (stride 1, pad 1) -> bias -> maxpool 2 ->
+ReLU -> conv 3x3x32 (pad 1) -> bias -> maxpool 2 -> ReLU -> flatten -> dense to
+128 features, head dense 128 -> 10; as ReLU commutes with max, this equals conv
+-> ReLU -> maxpool per stage.  Sized so that a 128-sample batch yields a
+128x128 feature matrix for the per-batch SVD.
 """
 
 from __future__ import annotations
@@ -94,17 +95,15 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ParameterSet:
 
 
 def forward_features(params: ParameterSet, spec: ModelSpec, x: Tensor) -> Tensor:
-    """f: image batch (b, c, h, w) -> feature matrix (b, feature_dim)."""
+    """f: image batch (b, c, h, w) -> feature matrix (b, feature_dim); the
+    stages run NHWC, the flatten reads NCHW order (the rows of ``feat_w``)."""
     pad = spec.kernel_size // 2
-    out = x
+    out = ad.transpose(x, (0, 2, 3, 1))
     for i in range(len(spec.conv_channels)):
-        w = params[f"conv{i}_w"]
-        b = params[f"conv{i}_b"]
-        out = ad.conv2d(out, w, stride=1, padding=pad)
-        out = ad.add(out, b.reshape(1, -1, 1, 1))
-        out = ad.relu(out)
-        out = ad.maxpool2x2(out)
-    flat = out.reshape(out.shape[0], -1)
+        out = ad.conv2d(out, params[f"conv{i}_w"], stride=1, padding=pad)
+        out = ad.add(out, params[f"conv{i}_b"].reshape(1, 1, 1, -1))
+        out = ad.relu(ad.maxpool2x2(out))
+    flat = ad.transpose(out, (0, 3, 1, 2)).reshape(out.shape[0], -1)
     return ad.add(ad.matmul(flat, params["feat_w"]), params["feat_b"])
 
 

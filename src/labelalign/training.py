@@ -50,13 +50,7 @@ class ConfigError(Exception):
 
 
 class TrainingAborted(Exception):
-    def __init__(self, step: int, parts: "DlaLossParts"):
-        super().__init__(
-            f"non-finite loss at step {step}: cls={parts.cls} align={parts.align} "
-            f"k_reg={parts.k_reg} k={parts.k}"
-        )
-        self.step = step
-        self.parts = parts
+    """A run stopped at a step by a failure it cannot continue past."""
 
 
 @dataclass(frozen=True)
@@ -218,8 +212,9 @@ def train(
 ) -> TrainResult:
     """Run the configured number of steps and record metrics for each.
 
-    Aborts with :class:`TrainingAborted` on a non-finite loss rather than
-    skipping the step; gradient-mode blowups should surface, not hide.
+    Aborts with :class:`TrainingAborted`, naming the step, on a spectral
+    failure, a non-finite loss or non-finite weights rather than skipping the
+    step; gradient-mode blowups should surface, not hide.
     """
     check_run(cfg, data)
     target = data.target if cfg.mode == "dla" else None
@@ -237,13 +232,19 @@ def train(
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter() if cfg.timing else 0.0
         batch = next_batch(src_sampler, data.source, tgt_sampler, target)
-        total_t, parts, probs = dla_loss(
-            params, spec, batch.source_images, batch.source_labels, batch.target_images, cfg
-        )
+        try:
+            total_t, parts, probs = dla_loss(
+                params, spec, batch.source_images, batch.source_labels, batch.target_images, cfg
+            )
+        except spectral.SpectralError as exc:
+            raise TrainingAborted(f"step {step}: {exc}") from exc
         if not np.isfinite(parts.total):
-            raise TrainingAborted(step, parts)
+            raise TrainingAborted(f"step {step}: non-finite loss {parts}")
         ad.backward(total_t)
         optimizer.step(trainable)
+        overflowed = [name for name, p in trainable.items() if not np.isfinite(p.data).all()]
+        if overflowed:
+            raise TrainingAborted(f"step {step}: the weights went non-finite: {', '.join(overflowed)}")
         src_acc = float((probs.argmax(axis=1) == batch.source_labels).mean())
         wall_ms = (time.perf_counter() - t0) * 1000.0 if cfg.timing else None
 
@@ -272,11 +273,12 @@ def evaluate(
         raise ConfigError("evaluation needs a labeled dataset")
     if len(dataset) == 0:
         raise ConfigError("evaluation dataset is empty")
+    frozen = {name: Tensor(p.data) for name, p in params.items()}  # no grad, so no tape
     dtype = params["feat_w"].data.dtype
     hits = 0
     for start in range(0, len(dataset), batch_size):
         stop = min(start + batch_size, len(dataset))
         x = Tensor(np.asarray(dataset.images[start:stop], dtype=dtype))
-        scores = forward_head(params, forward_features(params, spec, x))
+        scores = forward_head(frozen, forward_features(frozen, spec, x))
         hits += int((scores.data.argmax(axis=1) == dataset.labels[start:stop]).sum())
     return hits / len(dataset)

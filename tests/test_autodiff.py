@@ -51,7 +51,7 @@ def test_matmul_shape_mismatch_names_both_shapes():
 
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 3, 5, 5))
+    x = rng.standard_normal((2, 5, 5, 3))
     k = np.zeros((3, 3, 1, 1))
     for c in range(3):
         k[c, c, 0, 0] = 1.0
@@ -60,30 +60,31 @@ def test_conv2d_identity_kernel():
 
 
 def test_conv2d_ones_kernel_counts_window():
-    x = np.ones((1, 1, 5, 5))
-    k = np.ones((1, 1, 3, 3))
+    x = np.ones((1, 5, 5, 2))
+    k = np.ones((1, 2, 3, 3))
     out = ad.conv2d(t64(x), t64(k), stride=1, padding=0)
-    assert out.data.shape == (1, 1, 3, 3)
-    np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), 9.0))
+    assert out.data.shape == (1, 3, 3, 1)
+    np.testing.assert_array_equal(out.data, np.full((1, 3, 3, 1), 18.0))
 
 
 def test_conv2d_zero_kernel():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((1, 2, 4, 4))
+    x = rng.standard_normal((1, 4, 4, 2))
     out = ad.conv2d(t64(x), t64(np.zeros((3, 2, 2, 2))))
+    assert out.data.shape == (1, 3, 3, 3)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
 
 def test_conv2d_output_shape_formula():
-    x = t64(np.zeros((1, 1, 11, 9)))
+    x = t64(np.zeros((1, 11, 9, 1)))
     k = t64(np.zeros((2, 1, 3, 3)))
     out = ad.conv2d(x, k, stride=2, padding=1)
-    assert out.data.shape == (1, 2, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
+    assert out.data.shape == (1, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1, 2)
 
 
 def test_conv2d_kernel_too_large_rejected():
     with pytest.raises(AutodiffError, match="larger than padded input"):
-        ad.conv2d(t64(np.zeros((1, 1, 2, 2))), t64(np.zeros((1, 1, 5, 5))))
+        ad.conv2d(t64(np.zeros((1, 2, 2, 1))), t64(np.zeros((1, 1, 5, 5))))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +245,8 @@ def test_fd_sigmoid():
 
 def test_fd_reshape_sum_mean():
     _fd_check(
-        lambda a: ad.tsum(ad.mul(ad.reshape(a, (6,)), ad.reshape(a, (6,)))),
-        lambda rng: [rng.standard_normal((2, 3))],
+        lambda a: ad.tsum(ad.mul(ad.reshape(a, (24,)), ad.reshape(ad.transpose(a, (1, 2, 0)), (24,)))),
+        lambda rng: [rng.standard_normal((2, 3, 4))],
     )
 
 
@@ -253,7 +254,7 @@ def test_fd_conv2d():
     _fd_check(
         lambda x, k: ad.tsum(ad.mul(ad.conv2d(x, k, stride=2, padding=1),
                                     ad.conv2d(x, k, stride=2, padding=1))),
-        lambda rng: [rng.standard_normal((2, 2, 5, 5)), rng.standard_normal((3, 2, 3, 3))],
+        lambda rng: [rng.standard_normal((2, 5, 5, 2)), rng.standard_normal((3, 2, 3, 3))],
         eps=1e-5,
     )
 
@@ -261,7 +262,7 @@ def test_fd_conv2d():
 def test_fd_maxpool():
     _fd_check(
         lambda x: ad.tsum(ad.mul(ad.maxpool2x2(x), ad.maxpool2x2(x))),
-        lambda rng: [rng.standard_normal((2, 2, 4, 6))],
+        lambda rng: [rng.standard_normal((2, 5, 7, 2))],
     )
 
 
@@ -290,17 +291,18 @@ def test_fd_squared_error_and_mean_squared_norm():
 
 
 def test_maxpool_tie_break_first_occurrence():
-    x = np.zeros((1, 1, 2, 2))
-    x[:] = 1.0  # all equal: gradient must land on the first window element
+    x = np.ones((1, 2, 4, 2))  # all equal: gradient must land on the first window element
+    x[0, :, 2:, 1] = [[0.0, 3.0], [3.0, 3.0]]  # ties after a smaller first element
     t = t64(x)
     backward(ad.tsum(ad.maxpool2x2(t)))
-    np.testing.assert_array_equal(t.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(t.grad[0, :, :, 0], [[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(t.grad[0, :, :, 1], [[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
 
 
 def test_forward_and_gradients_deterministic():
     def run():
         rng = np.random.default_rng(11)
-        x = t64(rng.standard_normal((2, 1, 6, 6)))
+        x = t64(rng.standard_normal((2, 6, 6, 1)))
         k = t64(rng.standard_normal((2, 1, 3, 3)))
         out = ad.relu(ad.conv2d(x, k, padding=1))
         loss = ad.tsum(ad.mul(out, out))

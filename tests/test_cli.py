@@ -151,7 +151,17 @@ def test_diverging_run_exits_2(tmp_path, capsys):
     config.write_text(TINY.replace("[train]\n", "[train]\nalpha = 1e20\n"))
     with np.errstate(all="ignore"):
         assert run_train(config, tmp_path / "run") == EXIT_RUNTIME
-    assert "non-finite" in capsys.readouterr().err
+    # the weights stay finite (about 1e20) and the next forward pass overflows
+    assert "step 2: thin_svd input contains non-finite" in capsys.readouterr().err
+
+
+def test_weights_made_non_finite_by_a_step_exit_2_naming_the_step(tmp_path, capsys):
+    # 1e39 is finite as a float64 setting but overflows float32 weights
+    config = tmp_path / "overflow.ini"
+    config.write_text(TINY.replace("[train]\n", "[train]\nalpha = 1e39\n"))
+    with np.errstate(all="ignore"):
+        assert run_train(config, tmp_path / "run") == EXIT_RUNTIME
+    assert "step 1: the weights went non-finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from labelalign import autodiff as ad
 from labelalign.autodiff import Tensor
 from labelalign.model import DEFAULT_SPEC, ModelError, ModelSpec, build_model, forward_features, forward_head
 
@@ -42,3 +43,55 @@ def test_default_spec_maps_a_batch_to_features_and_scores():
 def test_too_small_image_is_rejected():
     with pytest.raises(ModelError, match="too small"):
         ModelSpec(image_hw=(3, 3))
+
+
+def test_relu_and_max_pool_commute_in_values_and_gradients():
+    # integer values in [-2, 2] give windows with ties, all-negative windows
+    # and exact zeros (odd trailing rows and columns are dropped by both)
+    rng = np.random.default_rng(7)
+    x = rng.integers(-2, 3, size=(3, 9, 7, 4)).astype(np.float64)
+    windows = x[:, :8, :6].reshape(3, 4, 2, 3, 2, 4).transpose(0, 1, 3, 5, 2, 4).reshape(-1, 4)
+    top = windows.max(axis=1)
+    assert (top < 0).any() and (top == 0).any()
+    assert ((windows == top[:, None]).sum(axis=1) > 1).any()
+    upstream = rng.standard_normal((3, 4, 3, 4))
+
+    def run(stage):
+        t = Tensor(x, requires_grad=True)
+        out = stage(t)
+        ad.backward(ad.tsum(ad.mul(out, Tensor(upstream))))
+        return out.data, t.grad
+
+    pooled_first = run(lambda t: ad.relu(ad.maxpool2x2(t)))
+    relu_first = run(lambda t: ad.maxpool2x2(ad.relu(t)))
+    for a, b in zip(pooled_first, relu_first):
+        np.testing.assert_array_equal(a, b)
+
+
+def reference_features(params, spec, images):
+    """NCHW float64 loops: conv, bias, ReLU, 2x2 max pool, flatten, dense."""
+    x = images
+    pad = spec.kernel_size // 2
+    for i in range(len(spec.conv_channels)):
+        w, b = params[f"conv{i}_w"].data, params[f"conv{i}_b"].data
+        n, c, h, wd = x.shape
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        conv = np.zeros((n, w.shape[0], h, wd))
+        for di in range(w.shape[2]):
+            for dj in range(w.shape[3]):
+                conv += np.einsum("nchw,oc->nohw", xp[:, :, di : di + h, dj : dj + wd], w[:, :, di, dj])
+        act = np.maximum(conv + b[None, :, None, None], 0.0)
+        h2, w2 = h // 2, wd // 2
+        x = act[:, :, : 2 * h2, : 2 * w2].reshape(n, -1, h2, 2, w2, 2).max(axis=(3, 5))
+    return x.reshape(len(x), -1) @ params["feat_w"].data + params["feat_b"].data
+
+
+def test_float64_features_match_an_nchw_reference():
+    spec = ModelSpec(image_hw=(11, 10), in_channels=2, conv_channels=(3, 5), feature_dim=6)
+    params = build_model(spec, seed=3, dtype=np.float64)
+    for name in ("conv0_b", "conv1_b"):
+        params[name].data[:] = np.random.default_rng(4).standard_normal(params[name].shape)
+    images = np.random.default_rng(5).standard_normal((4, 2, 11, 10))
+    phi = forward_features(params, spec, Tensor(images))
+    expected = reference_features(params, spec, images)
+    assert np.abs(phi.data - expected).max() <= 1e-12 * np.abs(expected).max()

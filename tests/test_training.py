@@ -3,9 +3,12 @@ import pytest
 
 from conftest import numeric_grad, rel_err
 from labelalign import autodiff as ad
-from labelalign.model import ModelSpec, build_model
+from labelalign import training
+from labelalign.autodiff import Tensor
+from labelalign.data import make_synthetic
+from labelalign.model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
 from labelalign.spectral import SpectralError
-from labelalign.training import TrainConfig, dla_loss, trainable_names
+from labelalign.training import TrainConfig, dla_loss, evaluate, trainable_names
 
 SPEC = ModelSpec(image_hw=(8, 8), conv_channels=(2,), feature_dim=4, classes=3)
 BATCH = 6
@@ -73,3 +76,22 @@ def test_target_batch_with_another_spectrum_length_is_refused():
     dla_loss(params, SPEC, source, labels, target[:5], cfg)  # 5 rows, still 4 values
     with pytest.raises(SpectralError, match="does not match spectrum length 3"):
         dla_loss(params, SPEC, source, labels, target[:3], cfg)
+
+
+def test_evaluate_records_no_tape_and_keeps_the_accuracy(monkeypatch):
+    params = build_model(DEFAULT_SPEC, seed=2)
+    dataset = make_synthetic(40, 3)
+    scores = forward_head(params, forward_features(params, DEFAULT_SPEC, Tensor(dataset.images)))
+    expected = float((scores.data.argmax(axis=1) == dataset.labels).mean())
+
+    outputs = []
+
+    def recording_head(*args):
+        outputs.append(forward_head(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(training, "forward_head", recording_head)
+    assert evaluate(params, DEFAULT_SPEC, dataset, batch_size=16) == expected
+    assert len(outputs) == 3
+    assert not any(out.requires_grad or out._parents for out in outputs)
+    assert all(p.grad is None for p in params.tensors())
