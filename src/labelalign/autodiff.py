@@ -7,6 +7,11 @@ reverse topological order, accumulating gradients additively (so shared
 subexpressions add up, e.g. d(x+x)/dx == 2), then releases the graph so a
 stale tape cannot be replayed by accident.
 
+A tensor's first gradient is held by reference, so one buffer may serve as
+the gradient of several tensors; a later gradient is summed into a new array.
+No backward closure writes into ``out.grad`` or into a gradient it has handed
+on, so no gradient buffer changes once it is stored.
+
 Arrays are float32 or float64 and never upcast silently: training code runs
 at float32 while numerical test oracles run the same code paths at float64.
 Convolution and pooling take channels-last (NHWC) activations; kernels are
@@ -80,10 +85,11 @@ def _check_dtypes(a: Tensor, b: Tensor, op: str):
 def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
+    # keep the first gradient by reference; sums allocate, so shared buffers stay intact
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
-        t.grad += g
+        t.grad = t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -266,6 +272,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     Output spatial size is ``(h + 2*padding - kh) // stride + 1`` (same for
     width).  Differentiable w.r.t. both the input and the kernel.
+
+    The im2col matrix has one row per output pixel and its columns in
+    ``(kh, kw, c)`` order, so each window row copies ``kw*c`` contiguous
+    values; the kernel enters the GEMM as ``(o, kh*kw*c)``.  The input
+    gradient takes one GEMM per kernel tap.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     kernel = kernel if isinstance(kernel, Tensor) else Tensor(kernel)
@@ -294,21 +305,25 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if padding:
         xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    # (b, ho, wo, c, kh, kw): rows are output pixels, columns match the OIHW kernel
-    cols = windows[:, ::stride, ::stride].reshape(b * ho * wo, c * kh * kw)
-    kmat = kernel.data.reshape(o, c * kh * kw)
+    # (b, ho, wo, kh, kw, c): rows are output pixels; each window row is kw*c
+    # contiguous NHWC values, matched by the kernel's (kh, kw, c) columns
+    windows = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    cols = windows.reshape(b * ho * wo, kh * kw * c)
+    kmat = kernel.data.transpose(0, 2, 3, 1).reshape(o, kh * kw * c)
     out_data = (cols @ kmat.T).reshape(b, ho, wo, o)
 
     def backward(out):
         g = out.grad.reshape(b * ho * wo, o)
         if kernel.requires_grad:
-            _accumulate(kernel, (g.T @ cols).reshape(o, c, kh, kw))
+            _accumulate(kernel, (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            dcols = (g @ kmat).reshape(b, ho, wo, c, kh, kw)
             dxp = np.zeros((b, hp, wp, c), dtype=x.data.dtype)
+            dtap = np.empty((b * ho * wo, c), dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[..., i, j]
+                    tap = (i * kw + j) * c  # this tap's (o, c) block of kmat
+                    np.matmul(g, kmat[:, tap : tap + c], out=dtap)
+                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dtap.reshape(b, ho, wo, c)
             _accumulate(x, dxp[:, padding : padding + h, padding : padding + w])
 
     return _make(out_data, (x, kernel), backward)

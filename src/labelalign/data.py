@@ -14,6 +14,7 @@ from __future__ import annotations
 import bz2
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,13 +72,20 @@ class ImageDataset:
         return replace(self, labels=None)
 
 
+# what a gzip or bzip2 stream raises when it is cut short or corrupt
+_CODEC_ERRORS = (EOFError, zlib.error, OSError)
+
+
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         head = fh.read(2)
         fh.seek(0)
         if head == b"\x1f\x8b":
-            with gzip.open(fh) as gz:
-                return gz.read()
+            try:
+                with gzip.open(fh) as gz:
+                    return gz.read()
+            except _CODEC_ERRORS as exc:
+                raise DataFormatError(f"{path}: corrupt or truncated gzip data: {exc}") from exc
         return fh.read()
 
 
@@ -133,12 +141,16 @@ def load_mnist(image_path, label_path, split: str = "train") -> ImageDataset:
 # ---------------------------------------------------------------------------
 
 
-def _open_text(path):
+def _text_lines(path):
+    """The lines of a plain or bzip2 text file, read lazily; a corrupt,
+    truncated or undecodable stream ends in :class:`DataFormatError`."""
     with open(path, "rb") as fh:
-        head = fh.read(3)
-    if head == b"BZh":
-        return bz2.open(path, "rt")
-    return open(path, "r")
+        compressed = fh.read(3) == b"BZh"
+    with bz2.open(path, "rt") if compressed else open(path, "r") as fh:
+        try:
+            yield from fh
+        except (*_CODEC_ERRORS, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"{path}: corrupt or truncated text data: {exc}") from exc
 
 
 def load_usps(path, split: str = "train") -> ImageDataset:
@@ -150,34 +162,33 @@ def load_usps(path, split: str = "train") -> ImageDataset:
     """
     attrs = []
     labels = []
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = int(float(tokens[0]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: unparsable label '{tokens[0]}'") from exc
+        digit = label - 1
+        if not 0 <= digit <= 9:
+            raise DataFormatError(f"{path}:{lineno}: label {label} outside 1..10")
+        row = np.zeros(256, dtype=np.float64)
+        for tok in tokens[1:]:
             try:
-                label = int(float(tokens[0]))
+                key, val = tok.split(":", 1)
+                index = int(key)
+                value = float(val)
             except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: unparsable label '{tokens[0]}'") from exc
-            digit = label - 1
-            if not 0 <= digit <= 9:
-                raise DataFormatError(f"{path}:{lineno}: label {label} outside 1..10")
-            row = np.zeros(256, dtype=np.float64)
-            for tok in tokens[1:]:
-                try:
-                    key, val = tok.split(":", 1)
-                    index = int(key)
-                    value = float(val)
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: unparsable pair '{tok}'") from exc
-                if not 1 <= index <= 256:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: attribute index {index} outside [1, 256]"
-                    )
-                row[index - 1] = value
-            attrs.append(row)
-            labels.append(digit)
+                raise DataFormatError(f"{path}:{lineno}: unparsable pair '{tok}'") from exc
+            if not 1 <= index <= 256:
+                raise DataFormatError(
+                    f"{path}:{lineno}: attribute index {index} outside [1, 256]"
+                )
+            row[index - 1] = value
+        attrs.append(row)
+        labels.append(digit)
     if not attrs:
         raise DataFormatError(f"{path}: no samples found")
     grid = (np.asarray(attrs).reshape(-1, 16, 16) + 1.0) / 2.0

@@ -158,6 +158,21 @@ def test_backward_fanout_accumulates_exactly():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
+def test_gradients_handed_to_two_leaves_do_not_alias():
+    # add hands one buffer to both operands; a later gradient for ``a`` must
+    # not write into the buffer ``b`` holds
+    a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
+    backward(ad.tsum(ad.add(ad.add(a, b), a)))
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+
+    # the same with a writable shared buffer (scale allocates a fresh one)
+    a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
+    backward(ad.tsum(ad.scale(ad.add(ad.add(a, b), a), 3.0)))
+    np.testing.assert_array_equal(b.grad, [3.0, 3.0])
+    np.testing.assert_array_equal(a.grad, [6.0, 6.0])
+
+
 def test_backward_rejects_non_scalar():
     x = t64([1.0, 2.0])
     with pytest.raises(AutodiffError, match="scalar"):
@@ -250,13 +265,41 @@ def test_fd_reshape_sum_mean():
     )
 
 
+# (NHWC input, OIHW kernel, stride, padding); the 2x3 kernels on a 5x6 input
+# catch a swapped height and width anywhere in the forward or the backward
+CONV_CASES = [
+    ((2, 5, 5, 2), (3, 2, 3, 3), 2, 1),
+    ((2, 5, 6, 2), (3, 2, 2, 3), 1, 0),
+    ((2, 5, 6, 2), (3, 2, 2, 3), 2, 1),
+]
+
+
 def test_fd_conv2d():
-    _fd_check(
-        lambda x, k: ad.tsum(ad.mul(ad.conv2d(x, k, stride=2, padding=1),
-                                    ad.conv2d(x, k, stride=2, padding=1))),
-        lambda rng: [rng.standard_normal((2, 5, 5, 2)), rng.standard_normal((3, 2, 3, 3))],
-        eps=1e-5,
-    )
+    for x_shape, k_shape, stride, padding in CONV_CASES:
+        _fd_check(
+            lambda x, k: ad.tsum(ad.mul(ad.conv2d(x, k, stride=stride, padding=padding),
+                                        ad.conv2d(x, k, stride=stride, padding=padding))),
+            lambda rng: [rng.standard_normal(x_shape), rng.standard_normal(k_shape)],
+            eps=1e-5,
+        )
+
+
+def test_conv2d_matches_an_nchw_einsum_reference():
+    rng = np.random.default_rng(6)
+    for x_shape, k_shape, stride, padding in CONV_CASES:
+        x = rng.standard_normal(x_shape)
+        k = rng.standard_normal(k_shape)
+        xp = np.pad(x.transpose(0, 3, 1, 2), ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+        kh, kw = k_shape[2:]
+        ho = (xp.shape[2] - kh) // stride + 1
+        wo = (xp.shape[3] - kw) // stride + 1
+        expected = 0.0
+        for i in range(kh):
+            for j in range(kw):
+                patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+                expected = expected + np.einsum("nchw,oc->nohw", patch, k[:, :, i, j])
+        out = ad.conv2d(t64(x), t64(k), stride=stride, padding=padding)
+        assert rel_err(out.data, expected.transpose(0, 2, 3, 1)) < 1e-12
 
 
 def test_fd_maxpool():

@@ -1,3 +1,5 @@
+import bz2
+import gzip
 import json
 import struct
 
@@ -162,6 +164,26 @@ def test_weights_made_non_finite_by_a_step_exit_2_naming_the_step(tmp_path, caps
     with np.errstate(all="ignore"):
         assert run_train(config, tmp_path / "run") == EXIT_RUNTIME
     assert "step 1: the weights went non-finite" in capsys.readouterr().err
+
+
+def test_truncated_compressed_data_file_exits_1_naming_it(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    (tmp_path / "mnist").mkdir()
+    (tmp_path / "usps").mkdir()
+    images = struct.pack(">IIII", 0x803, 4, 28, 28) + rng.integers(0, 256, 4 * 784, dtype=np.uint8).tobytes()
+    labels = struct.pack(">II", 0x801, 4) + bytes([1, 2, 3, 4])
+    (tmp_path / "mnist/train-images-idx3-ubyte.gz").write_bytes(gzip.compress(images))
+    (tmp_path / "mnist/train-labels-idx1-ubyte.gz").write_bytes(gzip.compress(labels))
+    usps = "".join("3 " + " ".join(f"{i}:0.5" for i in range(1, 257)) + "\n" for _ in range(8))
+    packed = bz2.compress(usps.encode())
+    (tmp_path / "usps/usps.bz2").write_bytes(packed[: len(packed) // 2])
+    (tmp_path / "usps/usps.t.bz2").write_bytes(packed)
+    config = tmp_path / "files.ini"
+    config.write_text(f"[data]\ndataset = mnist-usps\ndir = {tmp_path}\n")
+    assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "usps.bz2: corrupt or truncated text data" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])

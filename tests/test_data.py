@@ -94,6 +94,33 @@ def test_load_mnist_rejects_truncation(idx_pair, tmp_path):
         load_mnist(clipped, lbl_path)
 
 
+def gzip_cut_and_flipped(raw: bytes):
+    """A gzip stream of ``raw`` without its last 4 bytes, and one with a run
+    of corrupted bytes inside the deflate data."""
+    whole = gzip.compress(raw, mtime=0)
+    flipped = bytearray(whole)
+    flipped[12:20] = bytes(255 - v for v in flipped[12:20])
+    return whole[:-4], bytes(flipped)
+
+
+def test_load_mnist_rejects_truncated_or_corrupt_gzip_images(idx_pair, tmp_path):
+    img_path, lbl_path, _, _ = idx_pair
+    for raw in gzip_cut_and_flipped(img_path.read_bytes()):
+        bad = tmp_path / "images.gz"
+        bad.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=r"images.gz: corrupt or truncated gzip data"):
+            load_mnist(bad, lbl_path)
+
+
+def test_load_mnist_rejects_truncated_or_corrupt_gzip_labels(idx_pair, tmp_path):
+    img_path, lbl_path, _, _ = idx_pair
+    for raw in gzip_cut_and_flipped(lbl_path.read_bytes()):
+        bad = tmp_path / "labels.gz"
+        bad.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=r"labels.gz: corrupt or truncated gzip data"):
+            load_mnist(img_path, bad)
+
+
 def test_load_mnist_rejects_count_mismatch(idx_pair, tmp_path):
     img_path, _, _, _ = idx_pair
     short = tmp_path / "short-labels"
@@ -139,6 +166,24 @@ def test_load_usps_bz2(tmp_path):
     a = load_usps(plain)
     b = load_usps(packed)
     np.testing.assert_array_equal(a.images, b.images)
+
+
+def test_load_usps_rejects_truncated_or_corrupt_bz2_and_undecodable_text(tmp_path):
+    rng = np.random.default_rng(3)
+    text = "\n".join(usps_line(3, rng.uniform(-1, 1, 256)) for _ in range(40)) + "\n"
+    packed = bz2.compress(text.encode())
+    flipped = bytearray(packed)
+    flipped[40:60] = bytes(20)
+    cases = {
+        "cut.bz2": packed[: len(packed) // 2],
+        "flipped.bz2": bytes(flipped),
+        "binary.txt": b"3 1:0.5\n\xff\xfe\x00\n",
+    }
+    for name, raw in cases.items():
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=rf"{name}: corrupt or truncated text data"):
+            load_usps(path)
 
 
 def test_load_usps_all_negative_is_black(tmp_path):

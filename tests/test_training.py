@@ -8,7 +8,7 @@ from labelalign.autodiff import Tensor
 from labelalign.data import make_synthetic
 from labelalign.model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
 from labelalign.spectral import SpectralError
-from labelalign.training import TrainConfig, dla_loss, evaluate, trainable_names
+from labelalign.training import TrainConfig, TrainData, dla_loss, evaluate, train, trainable_names
 
 SPEC = ModelSpec(image_hw=(8, 8), conv_channels=(2,), feature_dim=4, classes=3)
 BATCH = 6
@@ -95,3 +95,36 @@ def test_evaluate_records_no_tape_and_keeps_the_accuracy(monkeypatch):
     assert len(outputs) == 3
     assert not any(out.requires_grad or out._parents for out in outputs)
     assert all(p.grad is None for p in params.tensors())
+
+
+# (total, k, src_acc) per step of a float64 run at batch 16 on synthetic data,
+# recorded at commit d0847ce; a reordered sum moves these by ~1e-14, well
+# inside the tolerance, while a change to the math moves them far beyond it
+GOLDEN = {
+    "dla": [
+        (3.24067517126862, 0.5989873728494957, 0.0),
+        (2.8590528384905154, 0.5987471494348179, 0.0625),
+        (2.625514579803377, 0.5985627361130906, 0.125),
+        (2.430635892125545, 0.5983553406030397, 0.125),
+        (3.079794420219808, 0.5981596302254049, 0.125),
+    ],
+    "no_adapt": [
+        (3.242059390854008, 0.5989873728494957, 0.0),
+        (3.2268023730611186, 0.5989873728494957, 0.1875),
+        (4.298950300330786, 0.5989873728494957, 0.0625),
+        (2.0087595849918927, 0.5989873728494957, 0.375),
+        (3.263034812000712, 0.5989873728494957, 0.3125),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_float64_golden_run(mode):
+    cfg = TrainConfig(
+        mode=mode, batch_size=16, steps=5, seed=0, dtype="float64", val_every=0, timing=False
+    )
+    data = TrainData(
+        source=make_synthetic(48, 1), target=make_synthetic(48, 2, domain_shift=0.35).drop_labels()
+    )
+    got = [(r.parts.total, r.parts.k, r.src_acc) for r in train(cfg, data).records]
+    np.testing.assert_allclose(got, GOLDEN[mode], rtol=1e-9, atol=0)
