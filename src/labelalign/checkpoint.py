@@ -90,7 +90,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         raise CheckpointError(f"corrupt checkpoint {path}: truncated header")
     try:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8 or JSON, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: unreadable header") from exc
     if not isinstance(header, dict) or not isinstance(header.get("params"), list):
         raise CheckpointError(f"corrupt checkpoint {path}: header has no 'params' list")
@@ -113,8 +114,8 @@ def _read_param(entry, blobs: memoryview) -> tuple[str, np.ndarray]:
     name, shape, dtype, offset, nbytes = (entry[key] for key in _ENTRY_KEYS)
     if not isinstance(name, str) or not isinstance(shape, list):
         raise ValueError(f"bad name or shape in parameter entry {entry!r}")
-    if not all(isinstance(n, int) and n >= 0 for n in (offset, *shape)):
-        raise ValueError(f"negative or non-integer offset or shape for '{name}'")
+    if not all(type(n) is int and n >= 0 for n in (offset, nbytes, *shape)):  # bools are ints too
+        raise ValueError(f"negative or non-integer offset, size or shape for '{name}'")
     if dtype not in _DTYPES:
         raise ValueError(f"unknown dtype {dtype!r} for '{name}' (expected one of {_DTYPES})")
     dtype = np.dtype(dtype).newbyteorder("<")

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .autodiff import HEAP_TUNED
 from .checkpoint import CheckpointError, load_checkpoint, restore_params, save_checkpoint
 from .config import DATA_DIR_ENV, RunConfig, config_from_flat, load_run_config
 from .data import (
@@ -163,6 +165,12 @@ def cmd_train(args) -> int:
         "package_version": __version__,
         "metrics": "metrics.csv",
         "checkpoint": "checkpoint.ckpt",
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+            "heap_keeps_freed_arrays": HEAP_TUNED,
+        },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

@@ -141,6 +141,10 @@ def parse_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
         raise ConfigError(
             f"dataset must be one of {DATASETS}, got '{parsed['data']['dataset']}'"
         )
+    lows = {"split_seed": 0, **{f"synthetic_{s}_size": 1 for s in ("source", "target", "val", "test")}}
+    for key, low in lows.items():
+        if parsed["data"][key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {parsed['data'][key]}")
     if parsed["output"]["metrics_every"] < 1:
         raise ConfigError(
             f"metrics_every must be >= 1, got {parsed['output']['metrics_every']}"

@@ -83,6 +83,8 @@ class TrainConfig:
             raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.val_every < 0:
             raise ConfigError(f"val_every must be >= 0, got {self.val_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name, value, allowed in (
             ("mode", self.mode, MODES),
             ("gradient_mode", self.gradient_mode, GRADIENT_MODES),

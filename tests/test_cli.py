@@ -1,11 +1,14 @@
 import bz2
 import gzip
 import json
+import platform
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+from labelalign.autodiff import HEAP_TUNED
 from labelalign.checkpoint import MAGIC, VERSION
 from labelalign.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_datasets, main
 from labelalign.config import load_run_config
@@ -42,6 +45,15 @@ def test_train_then_eval_matches_evaluate(tmp_path, tiny_config, capsys):
     out = tmp_path / "run"
     assert run_train(tiny_config, out) == EXIT_OK
     capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 0 and manifest["mode"] == "dla"
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+        "heap_keeps_freed_arrays": HEAP_TUNED,
+    }
+    assert HEAP_TUNED or not (sys.platform == "linux" and platform.libc_ver()[0] == "glibc")
 
     assert main(["eval", "--checkpoint", str(out / "checkpoint.ckpt")]) == EXIT_OK
     printed = capsys.readouterr().out.strip()

@@ -81,7 +81,11 @@ def test_unknown_keys_rejected_on_both_paths(tmp_path, section, key, message):
         ("train", "gamma", "inf", "gamma must be finite"),
         ("train", "beta", "nan", "beta must be finite"),
         ("train", "alpha", "-inf", "alpha must be finite and > 0"),
+        ("train", "seed", "-1", "seed must be >= 0"),
         ("data", "dataset", "cifar", "dataset must be one of"),
+        ("data", "split_seed", "-1", "split_seed must be >= 0"),
+        ("data", "synthetic_source_size", "-5", "synthetic_source_size must be >= 1"),
+        ("data", "synthetic_test_size", "0", "synthetic_test_size must be >= 1"),
         ("output", "metrics_every", "0", "metrics_every must be >= 1"),
         ("output", "checkpoint_every", "-1", "checkpoint_every must be >= 0"),
     ],

@@ -68,6 +68,35 @@ def test_relu_and_max_pool_commute_in_values_and_gradients():
         np.testing.assert_array_equal(a, b)
 
 
+def test_bias_and_max_pool_commute_in_values_and_gradients():
+    # x + b rounds monotonically in x, so pooling first gives the same bits
+    # even where rounding makes neighbours tie: float32 inputs far below the
+    # bias's unit in the last place collapse onto it
+    rng = np.random.default_rng(11)
+    x = (rng.standard_normal((2, 8, 6, 3)) * np.array([1.0, 1e-3, 1e-7])).astype(np.float32)
+    b = Tensor(np.array([0.5, 1.0, -1000.0], np.float32).reshape(1, 1, 1, 3))
+    pooled_first = ad.maxpool2x2(ad.add(Tensor(x), b)).data
+    assert (pooled_first[..., 2] == np.float32(-1000.0)).all()
+    np.testing.assert_array_equal(ad.add(ad.maxpool2x2(Tensor(x)), b).data, pooled_first)
+
+    # integer inputs with ties, integer biases and upstream: every sum is
+    # exact, so the gradients must match bitwise as well
+    x = rng.integers(-2, 3, size=(3, 9, 7, 4)).astype(np.float64)
+    upstream = rng.integers(-3, 4, size=(3, 4, 3, 4)).astype(np.float64)
+
+    def run(stage):
+        t = Tensor(x, requires_grad=True)
+        bias = Tensor(np.array([-1.0, 0.0, 1.0, 2.0]), requires_grad=True)
+        out = ad.relu(stage(t, bias.reshape(1, 1, 1, -1)))
+        ad.backward(ad.tsum(ad.mul(out, Tensor(upstream))))
+        return out.data, t.grad, bias.grad
+
+    bias_last = run(lambda t, b: ad.add(ad.maxpool2x2(t), b))
+    bias_first = run(lambda t, b: ad.maxpool2x2(ad.add(t, b)))
+    for a, b in zip(bias_last, bias_first):
+        np.testing.assert_array_equal(a, b)
+
+
 def reference_features(params, spec, images):
     """NCHW float64 loops: conv, bias, ReLU, 2x2 max pool, flatten, dense."""
     x = images

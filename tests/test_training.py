@@ -1,3 +1,7 @@
+import platform
+import resource
+import sys
+
 import numpy as np
 import pytest
 
@@ -128,3 +132,25 @@ def test_float64_golden_run(mode):
     )
     got = [(r.parts.total, r.parts.k, r.src_acc) for r in train(cfg, data).records]
     np.testing.assert_allclose(got, GOLDEN[mode], rtol=1e-9, atol=0)
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="the heap setting is glibc's; other allocators keep their own policy",
+)
+def test_steady_training_steps_fault_in_no_fresh_pages():
+    # a batch-128 dla step frees and reallocates tens of MB of tape arrays;
+    # with glibc's default thresholds they went back to the OS and about
+    # 12,000 pages were faulted in again per step
+    cfg = TrainConfig(steps=7, val_every=0, timing=False)
+    data = TrainData(
+        source=make_synthetic(512, 1), target=make_synthetic(512, 2, domain_shift=0.35).drop_labels()
+    )
+    faults = []
+
+    def count_faults(record, params):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    train(cfg, data, on_step=count_faults)
+    per_step = np.diff(faults[1:])  # from the end of the second warm-up step
+    assert per_step.mean() < 1000, per_step
