@@ -5,8 +5,10 @@ for labels, unsigned bytes scaled to [0, 1]).  Target images arrive in the
 sparse attribute text format (one sample per line: label then ``index:value``
 pairs, 256 attributes for 16x16 pixels in [-1, 1], labels 1..10); they are
 range-mapped to [0, 1], relabeled to digits 0..9 and upsampled to 28x28 with
-corner-aligned bilinear interpolation.  A synthetic generator provides
-seeded, learnable stand-in datasets for tests and smoke runs.
+corner-aligned bilinear interpolation.  The text is parsed whole, not token by
+token: numpy finds the token spans and colons in its bytes and checks their
+shape, and one ``np.fromstring`` reads every number.  A synthetic generator
+provides seeded, learnable stand-in datasets for tests and smoke runs.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class ImageDataset:
         if (
             not self.standardized
             and self.images.size
-            and (self.images.min() < 0.0 or self.images.max() > 1.0)
+            and not (self.images.min() >= 0.0 and self.images.max() <= 1.0)  # NaN fails too
         ):
             raise DataFormatError(
                 f"pixel range violated: [{self.images.min():.4g}, {self.images.max():.4g}]"
@@ -104,7 +106,8 @@ def load_idx_images(path) -> np.ndarray:
             f"{path}: truncated payload, expected {expected} bytes, found {len(raw)}"
         )
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    images = pixels.reshape(count, 1, rows, cols).astype(np.float32) / np.float32(255.0)
+    images = pixels.reshape(count, 1, rows, cols).astype(np.float32)
+    images /= np.float32(255.0)
     return images
 
 
@@ -133,6 +136,9 @@ def load_mnist(image_path, label_path, split: str = "train") -> ImageDataset:
             f"count mismatch: {image_path} holds {len(images)} images but "
             f"{label_path} holds {len(labels)} labels"
         )
+    if labels.size and labels.max() > 9:
+        at = int(labels.argmax())
+        raise DataFormatError(f"{label_path}: label {labels[at]} at index {at} outside 0..9")
     return ImageDataset(images=images, labels=labels, provenance="mnist", split=split)
 
 
@@ -140,17 +146,161 @@ def load_mnist(image_path, label_path, split: str = "train") -> ImageDataset:
 # sparse-attribute text format (target domain)
 # ---------------------------------------------------------------------------
 
+# bytes other than space and newline that str.split() counts as whitespace
+_OTHER_SPACES = b"\t\x0b\x0c\x1c\x1d\x1e\x1f"
+_TO_SPACE = bytes.maketrans(_OTHER_SPACES, b" " * len(_OTHER_SPACES))
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[ord("0") : ord("9") + 1] = True
+_SIGN = np.zeros(256, dtype=bool)
+_SIGN[[ord("+"), ord("-")]] = True
 
-def _text_lines(path):
-    """The lines of a plain or bzip2 text file, read lazily; a corrupt,
-    truncated or undecodable stream ends in :class:`DataFormatError`."""
+
+def _read_text(path) -> bytes:
+    """The bytes of a plain or bzip2 text file, with universal newlines; a
+    corrupt, truncated or non-UTF-8 file ends in :class:`DataFormatError`."""
     with open(path, "rb") as fh:
         compressed = fh.read(3) == b"BZh"
-    with bz2.open(path, "rt") if compressed else open(path, "r") as fh:
+        fh.seek(0)
         try:
-            yield from fh
+            text = bz2.open(fh).read() if compressed else fh.read()
+            if not text.isascii():
+                text.decode()
         except (*_CODEC_ERRORS, UnicodeDecodeError) as exc:
             raise DataFormatError(f"{path}: corrupt or truncated text data: {exc}") from exc
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return text
+
+
+def _first_true(mask: np.ndarray) -> int:
+    """Index of the first True in ``mask``, or its length if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
+
+
+class _Tokens:
+    """Whitespace-separated tokens of a sparse text: byte spans and lines.
+
+    The text is framed by newlines, so spans alternate start, end; each line's
+    first token is its label and every other token an ``index:value`` pair.
+    """
+
+    def __init__(self, text: bytes):
+        self.text = b"".join((b"\n", text.translate(_TO_SPACE), b"\n"))
+        self.buf = np.frombuffer(self.text, dtype=np.uint8)
+        space = (self.buf == ord(" ")) | (self.buf == ord("\n"))
+        edges = np.flatnonzero(space[1:] != space[:-1]) + 1
+        del space
+        self.starts, self.ends = edges[0::2], edges[1::2]
+        self.line = np.searchsorted(np.flatnonzero(self.buf == ord("\n")), self.starts)
+        self.is_label = np.diff(self.line, prepend=0) != 0
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def span(self, first: int, stop: int) -> bytes:
+        """Tokens ``first`` to ``stop - 1`` with the pair colons as spaces."""
+        if stop <= first:
+            return b""
+        return self.text[self.starts[first] : self.ends[stop - 1]].replace(b":", b" ")
+
+    def token(self, t: int) -> str:
+        return self.text[self.starts[t] : self.ends[t]].decode("utf-8", "replace")
+
+    def first_malformed(self) -> int:
+        """The first label holding a colon, or pair not shaped ``key:value``
+        with one colon, a signed-digits key and a value; ``len(self)`` if none."""
+        pairs = np.flatnonzero(~self.is_label)
+        colons = np.flatnonzero(self.buf == ord(":"))
+        n = min(len(pairs), len(colons))
+        # pair i must hold colon i after its first byte and before its last;
+        # then no colon is left for a label or for a second one in a pair
+        starts, at = self.starts[pairs[:n]], colons[:n]
+        i = _first_true(~((starts < at) & (at < self.ends[pairs[:n]] - 1)))
+        if i < len(colons) and (i == len(pairs) or colons[i] < self.starts[pairs[i]]):
+            bad = int(np.searchsorted(self.starts, colons[i], "right")) - 1  # holds colon i
+        else:
+            bad = int(pairs[i]) if i < len(pairs) else len(self)
+        # a key is an optional sign, then digits
+        starts, at = starts[:i], at[:i]
+        lead = self.buf[starts]
+        bad_key = ~_DIGIT[self.buf[at - 1]] | ~(_DIGIT[lead] | _SIGN[lead])
+        inner, back = np.flatnonzero(at - starts > 2), 2
+        while inner.size:
+            bad_key[inner] |= ~_DIGIT[self.buf[at[inner] - back]]
+            back += 1
+            inner = inner[at[inner] - starts[inner] > back]
+        j = _first_true(bad_key)
+        return min(bad, int(pairs[j])) if j < i else bad
+
+    def numbers(self, stop: int):
+        """(numbers, count) of the first ``count`` tokens, where ``count`` is
+        ``stop`` unless a label, index or value among them is not one number
+        (sep=" " needs a space between numbers); the span that fails is
+        halved until one token is left."""
+        try:
+            return np.fromstring(self.span(0, stop), sep=" "), stop
+        except ValueError:
+            first = 0
+        while stop - first > 1:
+            mid = (first + stop) // 2
+            try:
+                np.fromstring(self.span(first, mid), sep=" ")
+                first = mid
+            except ValueError:
+                stop = mid
+        return np.fromstring(self.span(0, first), sep=" "), first
+
+
+def _parse_sparse(path, text: bytes):
+    """(digits, attributes) of sparse ``label index:value`` text: one int64
+    digit and one float64 row of 256 attributes per non-blank line."""
+    tokens = _Tokens(text)
+    del text
+    if not len(tokens):
+        raise DataFormatError(f"{path}: no samples found")
+    # every well-formed token before the first fault holds one number if it
+    # is a label and two if it is a pair
+    numbers, stop = tokens.numbers(tokens.first_malformed())
+    is_label = tokens.is_label[:stop]
+    of_label = np.repeat(is_label, np.where(is_label, 1, 2))
+    labels = numbers[of_label]
+    index, value = numbers[~of_label].reshape(-1, 2).T
+    del numbers, of_label
+    label_ok = (labels >= 1.0) & (labels < 11.0)  # int(float(label)) in 1..10
+    pair_ok = (index >= 1.0) & (index <= 256.0) & np.isfinite(value)
+    label_tokens = np.flatnonzero(is_label)
+    pair_tokens = np.flatnonzero(~is_label)
+    i, j = _first_true(~label_ok), _first_true(~pair_ok)
+    bad = min(
+        int(label_tokens[i]) if i < len(labels) else stop,
+        int(pair_tokens[j]) if j < len(index) else stop,
+    )
+    if bad < len(tokens):
+        where, token = f"{path}:{tokens.line[bad]}", tokens.token(bad)
+        if tokens.is_label[bad]:
+            if bad == stop or not np.isfinite(labels[i]):
+                raise DataFormatError(f"{where}: unparsable label '{token}'")
+            raise DataFormatError(f"{where}: label {int(labels[i])} outside 1..10")
+        if bad == stop:
+            raise DataFormatError(f"{where}: unparsable pair '{token}'")
+        if not 1.0 <= index[j] <= 256.0:
+            key = token.split(":", 1)[0]
+            try:
+                key = int(key)
+            except ValueError:  # more digits than int() reads
+                pass
+            raise DataFormatError(f"{where}: attribute index {key} outside [1, 256]")
+        raise DataFormatError(f"{where}: attribute value in pair '{token}' is not finite")
+    rows = np.cumsum(is_label)[pair_tokens] - 1
+    cell = rows * 256 + index.astype(np.int64) - 1
+    # a repeated index keeps the later value
+    last = np.zeros(len(labels) * 256, dtype=np.int64)
+    np.maximum.at(last, cell, np.arange(1, len(cell) + 1))
+    attrs = np.zeros(len(labels) * 256)
+    hit = last > 0
+    attrs[hit] = value[last[hit] - 1]
+    return labels.astype(np.int64) - 1, attrs.reshape(-1, 256)
 
 
 def load_usps(path, split: str = "train") -> ImageDataset:
@@ -158,45 +308,17 @@ def load_usps(path, split: str = "train") -> ImageDataset:
 
     Attribute values live in [-1, 1] and map linearly onto [0, 1]; omitted
     attributes default to 0 (midpoint gray) per the sparse-format convention.
-    Labels 1..10 map to digits 0..9.
+    Labels 1..10 map to digits 0..9; blank lines are skipped.
     """
-    attrs = []
-    labels = []
-    for lineno, line in enumerate(_text_lines(path), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        try:
-            label = int(float(tokens[0]))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: unparsable label '{tokens[0]}'") from exc
-        digit = label - 1
-        if not 0 <= digit <= 9:
-            raise DataFormatError(f"{path}:{lineno}: label {label} outside 1..10")
-        row = np.zeros(256, dtype=np.float64)
-        for tok in tokens[1:]:
-            try:
-                key, val = tok.split(":", 1)
-                index = int(key)
-                value = float(val)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: unparsable pair '{tok}'") from exc
-            if not 1 <= index <= 256:
-                raise DataFormatError(
-                    f"{path}:{lineno}: attribute index {index} outside [1, 256]"
-                )
-            row[index - 1] = value
-        attrs.append(row)
-        labels.append(digit)
-    if not attrs:
-        raise DataFormatError(f"{path}: no samples found")
-    grid = (np.asarray(attrs).reshape(-1, 16, 16) + 1.0) / 2.0
+    digits, attrs = _parse_sparse(path, _read_text(path))
+    grid = attrs.reshape(-1, 16, 16)
+    grid += 1.0
+    grid /= 2.0
     big = resize_bilinear(grid, 28, 28)
-    images = np.clip(big, 0.0, 1.0).astype(np.float32)[:, None, :, :]
+    np.clip(big, 0.0, 1.0, out=big)
     return ImageDataset(
-        images=images,
-        labels=np.asarray(labels, dtype=np.int64),
+        images=big.astype(np.float32)[:, None, :, :],
+        labels=digits,
         provenance="usps",
         split=split,
     )
@@ -216,8 +338,14 @@ def resize_bilinear(images: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     y0, y1, fy = axis_coords(h, out_h)
     x0, x1, fx = axis_coords(w, out_w)
-    rows = images[:, y0, :] + fy[None, :, None] * (images[:, y1, :] - images[:, y0, :])
-    out = rows[:, :, x0] + fx[None, None, :] * (rows[:, :, x1] - rows[:, :, x0])
+    # lo + f * (hi - lo) along each axis; the larger second pass runs in place,
+    # which gives the same bits with fewer temporaries
+    lo = np.take(images, y0, axis=1)
+    rows = lo + fy[None, :, None] * (np.take(images, y1, axis=1) - lo)
+    lo, out = np.take(rows, x0, axis=2), np.take(rows, x1, axis=2)
+    out -= lo
+    out *= fx[None, None, :]
+    out += lo
     return out
 
 

@@ -178,23 +178,68 @@ def test_weights_made_non_finite_by_a_step_exit_2_naming_the_step(tmp_path, caps
     assert "step 1: the weights went non-finite" in capsys.readouterr().err
 
 
-def test_truncated_compressed_data_file_exits_1_naming_it(tmp_path, capsys):
+def usps_text(rng, count: int) -> str:
+    return "".join(
+        f"{label} " + " ".join(f"{i}:{v:.6f}" for i, v in enumerate(rng.uniform(-1, 1, 256), 1)) + "\n"
+        for label in rng.integers(1, 11, count)
+    )
+
+
+def write_data_files(root, mnist_labels=None, usps_train=None):
+    """MNIST-format (gzip IDX) and USPS-format (bzip2 sparse text) files
+    under ``root``: 32 source images, 24 target and 20 target test lines.
+    Returns a config that trains ``dla`` on them at batch 16."""
     rng = np.random.default_rng(0)
-    (tmp_path / "mnist").mkdir()
-    (tmp_path / "usps").mkdir()
-    images = struct.pack(">IIII", 0x803, 4, 28, 28) + rng.integers(0, 256, 4 * 784, dtype=np.uint8).tobytes()
-    labels = struct.pack(">II", 0x801, 4) + bytes([1, 2, 3, 4])
-    (tmp_path / "mnist/train-images-idx3-ubyte.gz").write_bytes(gzip.compress(images))
-    (tmp_path / "mnist/train-labels-idx1-ubyte.gz").write_bytes(gzip.compress(labels))
-    usps = "".join("3 " + " ".join(f"{i}:0.5" for i in range(1, 257)) + "\n" for _ in range(8))
-    packed = bz2.compress(usps.encode())
-    (tmp_path / "usps/usps.bz2").write_bytes(packed[: len(packed) // 2])
-    (tmp_path / "usps/usps.t.bz2").write_bytes(packed)
-    config = tmp_path / "files.ini"
-    config.write_text(f"[data]\ndataset = mnist-usps\ndir = {tmp_path}\n")
+    (root / "mnist").mkdir()
+    (root / "usps").mkdir()
+    labels = rng.integers(0, 10, 32, dtype=np.uint8) if mnist_labels is None else mnist_labels
+    images = struct.pack(">IIII", 0x803, 32, 28, 28) + rng.integers(0, 256, 32 * 784, dtype=np.uint8).tobytes()
+    (root / "mnist/train-images-idx3-ubyte.gz").write_bytes(gzip.compress(images))
+    (root / "mnist/train-labels-idx1-ubyte.gz").write_bytes(
+        gzip.compress(struct.pack(">II", 0x801, len(labels)) + labels.tobytes())
+    )
+    train = bz2.compress(usps_text(rng, 24).encode()) if usps_train is None else usps_train
+    (root / "usps/usps.bz2").write_bytes(train)
+    (root / "usps/usps.t.bz2").write_bytes(bz2.compress(usps_text(rng, 20).encode()))
+    config = root / "files.ini"
+    config.write_text(
+        "[train]\nsteps = 2\nbatch_size = 16\nval_every = 1\ntiming = off\n\n"
+        f"[data]\ndataset = mnist-usps\ndir = {root}\n"
+    )
+    return config
+
+
+def test_train_then_eval_on_mnist_usps_files(tmp_path, capsys):
+    config = write_data_files(tmp_path)
+    out = tmp_path / "run"
+    assert run_train(config, out) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.ckpt")]) == EXIT_OK
+    printed = capsys.readouterr().out.strip()
+
+    cfg = load_run_config(config)
+    data = build_datasets(cfg)
+    assert [len(data.source), len(data.target), len(data.val), len(data.test)] == [32, 24, 10, 10]
+    result = train(cfg.train, data, DEFAULT_SPEC)
+    assert printed == f"{100 * evaluate(result.params, DEFAULT_SPEC, data.test):.2f}"
+
+
+def test_truncated_compressed_data_file_exits_1_naming_it(tmp_path, capsys):
+    packed = bz2.compress(usps_text(np.random.default_rng(1), 8).encode())
+    config = write_data_files(tmp_path, usps_train=packed[: len(packed) // 2])
     assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "usps.bz2: corrupt or truncated text data" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_mnist_label_outside_0_to_9_exits_1_before_writing(tmp_path, capsys):
+    labels = np.arange(32, dtype=np.uint8) % 10
+    labels[5] = 200
+    config = write_data_files(tmp_path, mnist_labels=labels)
+    assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "train-labels-idx1-ubyte.gz: label 200 at index 5 outside 0..9" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,9 +1,14 @@
 import bz2
 import gzip
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelalign.data import (
     BatchSampler,
@@ -222,6 +227,50 @@ def test_load_usps_rejects_out_of_range_label(tmp_path):
         load_usps(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1:0.5 2:0.5", "unparsable label '1:0.5'"),
+        ("3 1 :0.5", "unparsable pair '1'"),
+        ("3 1:0.5 7", "unparsable pair '7'"),
+        ("3 1:0.5:2", "unparsable pair '1:0.5:2'"),
+        ("3 :0.5", "unparsable pair ':0.5'"),
+        ("3 1: 2:0.5", "unparsable pair '1:'"),
+        ("3 1.0:0.5", "unparsable pair '1.0:0.5'"),
+        ("3 2e0:0.5", "unparsable pair '2e0:0.5'"),
+        ("3 1x2:0.5", "unparsable pair '1x2:0.5'"),
+        ("3 +:0.5", "unparsable pair '+:0.5'"),
+        ("3 1:0.5-0.25 2:", "unparsable pair '1:0.5-0.25'"),
+        ("3 1:0.5\x00", "unparsable pair '1:0.5\x00'"),
+        ("3 007:0.5 -0:0.5", "attribute index 0 outside"),
+        ("3 1:0.5 2:0.5 99999999999999999999:0", "attribute index 99999999999999999999 outside"),
+        ("-0.5 1:0", "label 0 outside 1..10"),
+    ],
+)
+def test_load_usps_names_the_line_and_the_first_bad_token(tmp_path, line, message):
+    path = tmp_path / "bad.txt"
+    # a later bad line must not hide the first one
+    path.write_bytes(f"3 1:0.5\r\n\n{line}\n5 1:0.5 x\n".encode())
+    with pytest.raises(DataFormatError, match=rf"bad.txt:3: {re.escape(message)}"):
+        load_usps(path)
+
+
+@pytest.mark.parametrize("label", ["inf", "-inf", "1e400", "nan"])
+def test_load_usps_rejects_a_label_that_is_no_integer(tmp_path, label):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"3 1:0.5\n{label} 1:0.5\n")
+    with pytest.raises(DataFormatError, match=rf"huge.txt:2: unparsable label '{re.escape(label)}'"):
+        load_usps(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_load_usps_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "odd.txt"
+    path.write_text(f"3 1:0.5\n\n4 2:0.25 1:{value}\n")
+    with pytest.raises(DataFormatError, match=rf"odd.txt:3: attribute value in pair '1:{value}' is not finite"):
+        load_usps(path)
+
+
 def test_resize_bilinear_corner_alignment():
     img = np.arange(4, dtype=np.float64).reshape(1, 2, 2)
     out = resize_bilinear(img, 3, 3)
@@ -323,6 +372,8 @@ def test_make_synthetic_deterministic_and_in_range():
 def test_dataset_invariants_enforced():
     with pytest.raises(DataFormatError, match="pixel range"):
         ImageDataset(np.full((1, 1, 2, 2), 1.5, dtype=np.float32), None, "synthetic", "train")
+    with pytest.raises(DataFormatError, match="pixel range"):
+        ImageDataset(np.full((1, 1, 2, 2), np.nan, dtype=np.float32), None, "synthetic", "train")
     with pytest.raises(DataFormatError, match="label count"):
         ImageDataset(
             np.zeros((2, 1, 2, 2), dtype=np.float32), np.zeros(3, dtype=np.int64),
@@ -351,3 +402,137 @@ def test_subset_and_split_keep_standardized_flag():
     adapt, val, held = split_target(train, test, seed=1)
     assert adapt.standardized and val.standardized and held.standardized
     assert len(val) + len(held) == len(test)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed parsers
+# ---------------------------------------------------------------------------
+
+
+def reference_usps(path):
+    """(images, labels) from the per-token parse and out-of-place resize that
+    ``load_usps`` once ran, for differential tests on valid files."""
+    raw = Path(path).read_bytes()
+    text = (bz2.decompress(raw) if raw[:3] == b"BZh" else raw).decode()
+    rows, labels = [], []
+    for line in text.replace("\r\n", "\n").split("\n"):
+        tokens = line.split()
+        if not tokens:
+            continue
+        labels.append(int(float(tokens[0])) - 1)
+        row = np.zeros(256)
+        for token in tokens[1:]:
+            key, value = token.split(":", 1)
+            row[int(key) - 1] = float(value)
+        rows.append(row)
+    grid = (np.asarray(rows).reshape(-1, 16, 16) + 1.0) / 2.0
+    pos = np.arange(28) * 15 / 27
+    lo = np.minimum(np.floor(pos).astype(np.int64), 14)
+    f, hi = pos - lo, lo + 1
+    grid = grid[:, lo, :] + f[None, :, None] * (grid[:, hi, :] - grid[:, lo, :])
+    big = grid[:, :, lo] + f[None, None, :] * (grid[:, :, hi] - grid[:, :, lo])
+    return np.clip(big, 0.0, 1.0).astype(np.float32)[:, None], np.asarray(labels, dtype=np.int64)
+
+
+values = st.floats(-1.0, 1.0).flatmap(lambda v: st.sampled_from([f"{v:.6f}", repr(v)]))
+pairs = st.lists(st.tuples(st.integers(1, 256), values), max_size=40)  # any order, repeats
+digit_labels = st.integers(1, 10).flatmap(
+    lambda k: st.sampled_from([str(k), f"{k}.0", f"{k}.75", f"{k}e0", f"+{k}"])
+)
+gaps = st.sampled_from([" ", "  ", "\t", " \t "])
+sample_lines = st.tuples(digit_labels, pairs, gaps).map(
+    lambda t: t[0] + "".join(f"{t[2]}{i}:{v}" for i, v in t[1])
+)
+sparse_texts = st.tuples(
+    st.lists(sample_lines | st.sampled_from(["", "  ", "\t"]), min_size=1, max_size=6).filter(
+        lambda lines: any(line.strip() for line in lines)
+    ),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else ""))
+
+
+def on_files(call, *raws: bytes):
+    """``call`` on temporary files holding ``raws``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"file{i}" for i in range(len(raws))]
+        for path, raw in zip(paths, raws):
+            path.write_bytes(raw)
+        return call(*paths)
+
+
+@given(sparse_texts, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_load_usps_matches_the_per_token_reference_bitwise(text, packed):
+    raw = bz2.compress(text.encode()) if packed else text.encode()
+    ds, (images, labels) = on_files(lambda p: (load_usps(p), reference_usps(p)), raw)
+    assert ds.images.tobytes() == images.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
+def loads_or_refuses(call, *raws: bytes):
+    """``call`` on files holding ``raws``; any error but DataFormatError fails."""
+    try:
+        ds = on_files(call, *raws)
+    except DataFormatError:
+        return
+    assert np.all((ds.images >= 0.0) & (ds.images <= 1.0))
+    assert np.all((ds.labels >= 0) & (ds.labels <= 9))
+
+
+def mutated(raw: bytes, flips, cut: int) -> bytes:
+    out = bytearray(raw)
+    for pos, value in flips:
+        out[pos % len(out)] = value
+    return bytes(out[: cut % (len(out) + 1)])
+
+
+flips = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=4)
+cuts = st.integers(0, 10**6)
+text_bytes = st.binary(max_size=200) | st.text("0123456789+-.:eE \t\n\rinfa", max_size=120).map(str.encode)
+
+
+@given(text_bytes, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_load_usps_on_arbitrary_bytes_raises_only_data_format_error(raw, packed):
+    loads_or_refuses(load_usps, bz2.compress(raw) if packed else raw)
+
+
+@given(sparse_texts, flips, cuts, st.sampled_from(["text", "bz2", "packed_text"]))
+@settings(max_examples=300, deadline=None)
+def test_load_usps_on_mutated_or_cut_files_raises_only_data_format_error(text, flips, cut, form):
+    raw = text.encode()
+    if form == "text":
+        raw = mutated(raw, flips, cut)
+    elif form == "bz2":
+        raw = mutated(bz2.compress(raw), flips, cut)
+    else:
+        raw = bz2.compress(mutated(raw, flips, cut))
+    loads_or_refuses(load_usps, raw)
+
+
+IDX_IMAGES = struct.pack(">IIII", 0x803, 3, 2, 2) + bytes(range(0, 240, 20))
+IDX_LABELS = struct.pack(">II", 0x801, 3) + bytes([0, 9, 4])
+
+
+def load_mnist_with(raw: bytes, as_images: bool):
+    loads_or_refuses(load_mnist, *((raw, IDX_LABELS) if as_images else (IDX_IMAGES, raw)))
+
+
+@given(st.binary(max_size=64), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_load_mnist_on_arbitrary_bytes_raises_only_data_format_error(raw, as_images, packed):
+    load_mnist_with(gzip.compress(raw, mtime=0) if packed else raw, as_images)
+
+
+@given(flips, cuts, st.booleans(), st.sampled_from(["plain", "gzip", "packed_plain"]))
+@settings(max_examples=300, deadline=None)
+def test_load_mnist_on_mutated_or_cut_files_raises_only_data_format_error(flips, cut, as_images, form):
+    raw = IDX_IMAGES if as_images else IDX_LABELS
+    if form == "plain":
+        raw = mutated(raw, flips, cut)
+    elif form == "gzip":
+        raw = mutated(gzip.compress(raw, mtime=0), flips, cut)
+    else:
+        raw = gzip.compress(mutated(raw, flips, cut), mtime=0)
+    load_mnist_with(raw, as_images)
