@@ -16,6 +16,7 @@ from __future__ import annotations
 import bz2
 import gzip
 import struct
+import warnings
 import zlib
 from dataclasses import dataclass, replace
 
@@ -172,6 +173,19 @@ def _read_text(path) -> bytes:
     return text
 
 
+def _read_numbers(text: bytes) -> np.ndarray:
+    """Every number in space-separated ``text``; ValueError if some token is
+    not one number."""
+    # older NumPy only warns on text it cannot read and returns the numbers
+    # before it, where newer NumPy raises ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(text, sep=" ")
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from exc
+
+
 def _first_true(mask: np.ndarray) -> int:
     """Index of the first True in ``mask``, or its length if there is none."""
     hits = np.flatnonzero(mask)
@@ -192,11 +206,17 @@ class _Tokens:
         edges = np.flatnonzero(space[1:] != space[:-1]) + 1
         del space
         self.starts, self.ends = edges[0::2], edges[1::2]
-        self.line = np.searchsorted(np.flatnonzero(self.buf == ord("\n")), self.starts)
-        self.is_label = np.diff(self.line, prepend=0) != 0
+        # the first token after a newline is a line's label
+        first = np.searchsorted(self.starts, np.flatnonzero(self.buf == ord("\n")))
+        self.is_label = np.zeros(len(self.starts), dtype=bool)
+        self.is_label[first[first < len(self.starts)]] = True
 
     def __len__(self) -> int:
         return len(self.starts)
+
+    def line(self, t: int) -> int:
+        """The 1-based line number of token ``t``."""
+        return self.text.count(b"\n", 0, self.starts[t])
 
     def span(self, first: int, stop: int) -> bytes:
         """Tokens ``first`` to ``stop - 1`` with the pair colons as spaces."""
@@ -212,25 +232,25 @@ class _Tokens:
         with one colon, a signed-digits key and a value; ``len(self)`` if none."""
         pairs = np.flatnonzero(~self.is_label)
         colons = np.flatnonzero(self.buf == ord(":"))
+        # while the text is well formed, pair i holds colon i after its first
+        # byte and before its last, so no label holds a colon and no pair two;
+        # the first fault is pair i or the token holding colon i
         n = min(len(pairs), len(colons))
-        # pair i must hold colon i after its first byte and before its last;
-        # then no colon is left for a label or for a second one in a pair
         starts, at = self.starts[pairs[:n]], colons[:n]
-        i = _first_true(~((starts < at) & (at < self.ends[pairs[:n]] - 1)))
-        if i < len(colons) and (i == len(pairs) or colons[i] < self.starts[pairs[i]]):
-            bad = int(np.searchsorted(self.starts, colons[i], "right")) - 1  # holds colon i
-        else:
-            bad = int(pairs[i]) if i < len(pairs) else len(self)
-        # a key is an optional sign, then digits
-        starts, at = starts[:i], at[:i]
-        lead = self.buf[starts]
-        bad_key = ~_DIGIT[self.buf[at - 1]] | ~(_DIGIT[lead] | _SIGN[lead])
-        inner, back = np.flatnonzero(at - starts > 2), 2
-        while inner.size:
-            bad_key[inner] |= ~_DIGIT[self.buf[at[inner] - back]]
-            back += 1
-            inner = inner[at[inner] - starts[inner] > back]
-        j = _first_true(bad_key)
+        i = _first_true((at <= starts) | (at >= self.ends[pairs[:n]] - 1))
+        bad = min(
+            int(pairs[i]) if i < len(pairs) else len(self),
+            int(np.searchsorted(self.starts, colons[i], "right")) - 1 if i < len(colons) else len(self),
+        )
+        # a key is an optional sign, then digits (a lone sign is no number):
+        # check its first byte, then gather every later one
+        starts, rest = starts[:i], at[:i] - starts[:i] - 1  # key bytes after the first
+        del colons, at
+        ok = _DIGIT[self.buf[starts]] | _SIGN[self.buf[starts]]
+        later = np.repeat(starts + 1 - np.cumsum(rest) + rest, rest)
+        later += np.arange(len(later))
+        ok[np.searchsorted(starts, later[~_DIGIT[self.buf[later]]], "right") - 1] = False
+        j = _first_true(~ok)
         return min(bad, int(pairs[j])) if j < i else bad
 
     def numbers(self, stop: int):
@@ -239,17 +259,17 @@ class _Tokens:
         (sep=" " needs a space between numbers); the span that fails is
         halved until one token is left."""
         try:
-            return np.fromstring(self.span(0, stop), sep=" "), stop
+            return _read_numbers(self.span(0, stop)), stop
         except ValueError:
             first = 0
         while stop - first > 1:
             mid = (first + stop) // 2
             try:
-                np.fromstring(self.span(first, mid), sep=" ")
+                _read_numbers(self.span(first, mid))
                 first = mid
             except ValueError:
                 stop = mid
-        return np.fromstring(self.span(0, first), sep=" "), first
+        return _read_numbers(self.span(0, first)), first
 
 
 def _parse_sparse(path, text: bytes):
@@ -277,7 +297,7 @@ def _parse_sparse(path, text: bytes):
         int(pair_tokens[j]) if j < len(index) else stop,
     )
     if bad < len(tokens):
-        where, token = f"{path}:{tokens.line[bad]}", tokens.token(bad)
+        where, token = f"{path}:{tokens.line(bad)}", tokens.token(bad)
         if tokens.is_label[bad]:
             if bad == stop or not np.isfinite(labels[i]):
                 raise DataFormatError(f"{where}: unparsable label '{token}'")

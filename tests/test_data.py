@@ -3,6 +3,7 @@ import gzip
 import re
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,32 +228,63 @@ def test_load_usps_rejects_out_of_range_label(tmp_path):
         load_usps(path)
 
 
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("1:0.5 2:0.5", "unparsable label '1:0.5'"),
-        ("3 1 :0.5", "unparsable pair '1'"),
-        ("3 1:0.5 7", "unparsable pair '7'"),
-        ("3 1:0.5:2", "unparsable pair '1:0.5:2'"),
-        ("3 :0.5", "unparsable pair ':0.5'"),
-        ("3 1: 2:0.5", "unparsable pair '1:'"),
-        ("3 1.0:0.5", "unparsable pair '1.0:0.5'"),
-        ("3 2e0:0.5", "unparsable pair '2e0:0.5'"),
-        ("3 1x2:0.5", "unparsable pair '1x2:0.5'"),
-        ("3 +:0.5", "unparsable pair '+:0.5'"),
-        ("3 1:0.5-0.25 2:", "unparsable pair '1:0.5-0.25'"),
-        ("3 1:0.5\x00", "unparsable pair '1:0.5\x00'"),
-        ("3 007:0.5 -0:0.5", "attribute index 0 outside"),
-        ("3 1:0.5 2:0.5 99999999999999999999:0", "attribute index 99999999999999999999 outside"),
-        ("-0.5 1:0", "label 0 outside 1..10"),
-    ],
-)
+MALFORMED_LINES = [
+    ("1:0.5 2:0.5", "unparsable label '1:0.5'"),
+    ("3 1 :0.5", "unparsable pair '1'"),
+    ("3 1:0.5 7", "unparsable pair '7'"),
+    ("3 1:0.5:2", "unparsable pair '1:0.5:2'"),
+    ("3 :0.5", "unparsable pair ':0.5'"),
+    ("3 1: 2:0.5", "unparsable pair '1:'"),
+    ("3 1.0:0.5", "unparsable pair '1.0:0.5'"),
+    ("3 2e0:0.5", "unparsable pair '2e0:0.5'"),
+    ("3 1x2:0.5", "unparsable pair '1x2:0.5'"),
+    ("3 +:0.5", "unparsable pair '+:0.5'"),
+    ("3 +-1:0.5", "unparsable pair '+-1:0.5'"),
+    ("3 .5:0.5", "unparsable pair '.5:0.5'"),
+    ("3 1+:0.5", "unparsable pair '1+:0.5'"),
+    ("3 12a4:0.5", "unparsable pair '12a4:0.5'"),
+    ("3 +12:0.5 1a:0", "unparsable pair '1a:0'"),
+    ("3 1:0.5-0.25 2:", "unparsable pair '1:0.5-0.25'"),
+    ("3 1:0.5\x00", "unparsable pair '1:0.5\x00'"),
+    ("3 007:0.5 -0:0.5", "attribute index 0 outside"),
+    ("3 1:0.5 2:0.5 99999999999999999999:0", "attribute index 99999999999999999999 outside"),
+    ("-0.5 1:0", "label 0 outside 1..10"),
+    ("3 1:0.5 2:0.5x", "unparsable pair '2:0.5x'"),
+]
+
+
+@pytest.mark.parametrize("line, message", MALFORMED_LINES)
 def test_load_usps_names_the_line_and_the_first_bad_token(tmp_path, line, message):
     path = tmp_path / "bad.txt"
     # a later bad line must not hide the first one
     path.write_bytes(f"3 1:0.5\r\n\n{line}\n5 1:0.5 x\n".encode())
     with pytest.raises(DataFormatError, match=rf"bad.txt:3: {re.escape(message)}"):
         load_usps(path)
+
+
+def fromstring_that_warns(text, sep):
+    """``np.fromstring`` as NumPy 1.x has it: text it cannot read gives a
+    DeprecationWarning and the numbers before it, not a ValueError."""
+    numbers = []
+    for token in text.split():
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            break
+    return np.array(numbers)
+
+
+@pytest.mark.parametrize("line, message", MALFORMED_LINES)
+def test_load_usps_names_the_first_bad_token_where_fromstring_only_warns(tmp_path, monkeypatch, line, message):
+    monkeypatch.setattr(np, "fromstring", fromstring_that_warns)
+    path = tmp_path / "bad.txt"
+    # the bad line comes last, so its last token may be the file's last
+    path.write_bytes(f"3 1:0.5\r\n\n{line}\n".encode())
+    with pytest.raises(DataFormatError, match=rf"bad.txt:3: {re.escape(message)}"):
+        load_usps(path)
+    path.write_bytes(b"3 1:0.5\n\n4 2:-0.25 1:1\n")
+    assert load_usps(path).labels.tolist() == [2, 3]
 
 
 @pytest.mark.parametrize("label", ["inf", "-inf", "1e400", "nan"])
