@@ -14,8 +14,9 @@ on, so no gradient buffer changes once it is stored.
 
 Arrays are float32 or float64 and never upcast silently: training code runs
 at float32 while numerical test oracles run the same code paths at float64.
-Convolution and pooling take channels-last (NHWC) activations; kernels are
-OIHW.
+Convolution and pooling take batch-innermost (CHWN: channels, height,
+width, batch) activations, so im2col copies and elementwise passes run over
+spans of at least a batch of contiguous values; kernels are OIHW.
 
 On import, glibc is asked to keep freed arrays in the process: a tape frees
 tens of MB per training step that the next step allocates again, and handing
@@ -287,21 +288,22 @@ def tsum(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution / pooling (NHWC activations, OIHW kernels)
+# convolution / pooling (CHWN activations, OIHW kernels)
 # ---------------------------------------------------------------------------
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of an NHWC input with an OIHW kernel, zero padded;
-    the output is NHWC.
+    """Cross-correlation of a CHWN input with an OIHW kernel, zero padded;
+    the output is CHWN (channels, height, width, batch).
 
     Output spatial size is ``(h + 2*padding - kh) // stride + 1`` (same for
     width).  Differentiable w.r.t. both the input and the kernel.
 
-    The im2col matrix has one row per output pixel and its columns in
-    ``(kh, kw, c)`` order, so each window row copies ``kw*c`` contiguous
-    values; the kernel enters the GEMM as ``(o, kh*kw*c)``.  The input
-    gradient takes one GEMM per kernel tap.
+    The im2col matrix has one row per ``(kh, kw, c)`` kernel entry and one
+    column per output pixel in ``(ho, wo, b)`` order, so its copy moves runs
+    of ``b`` contiguous values and the forward is one ``(o, kh*kw*c)`` GEMM.
+    The input gradient takes one GEMM per kernel tap, each added into the
+    padded input over runs of ``wo*b`` values.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     kernel = kernel if isinstance(kernel, Tensor) else Tensor(kernel)
@@ -310,9 +312,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise AutodiffError(f"conv2d stride must be >= 1, got {stride}")
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise AutodiffError(
-            f"conv2d expects NHWC input and OIHW kernel, got {x.data.shape} and {kernel.data.shape}"
+            f"conv2d expects CHWN input and OIHW kernel, got {x.data.shape} and {kernel.data.shape}"
         )
-    b, h, w, c = x.data.shape
+    c, h, w, b = x.data.shape
     o, kc, kh, kw = kernel.data.shape
     if kc != c:
         raise AutodiffError(
@@ -330,54 +332,66 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if padding:
         xp = np.pad(xp, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    # (b, ho, wo, kh, kw, c): rows are output pixels; each window row is kw*c
-    # contiguous NHWC values, matched by the kernel's (kh, kw, c) columns
-    windows = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
-    cols = windows.reshape(b * ho * wo, kh * kw * c)
+    # (c, ho, wo, b, kh, kw) -> (kh, kw, c, ho, wo, b): rows match the
+    # kernel's (kh, kw, c) columns, and the batch stays innermost
+    windows = windows[:, ::stride, ::stride].transpose(4, 5, 0, 1, 2, 3)
+    cols = windows.reshape(kh * kw * c, ho * wo * b)
     kmat = kernel.data.transpose(0, 2, 3, 1).reshape(o, kh * kw * c)
-    out_data = (cols @ kmat.T).reshape(b, ho, wo, o)
+    out_data = (kmat @ cols).reshape(o, ho, wo, b)
 
     def backward(out):
-        g = out.grad.reshape(b * ho * wo, o)
+        g = out.grad.reshape(o, ho * wo * b)
         if kernel.requires_grad:
-            _accumulate(kernel, (g.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+            _accumulate(kernel, (g @ cols.T).reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            dxp = np.zeros((b, hp, wp, c), dtype=x.data.dtype)
-            dtap = np.empty((b * ho * wo, c), dtype=x.data.dtype)
+            dxp = np.zeros((c, hp, wp, b), dtype=x.data.dtype)
+            dtap = np.empty((c, ho * wo * b), dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     tap = (i * kw + j) * c  # this tap's (o, c) block of kmat
-                    np.matmul(g, kmat[:, tap : tap + c], out=dtap)
-                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dtap.reshape(b, ho, wo, c)
+                    np.matmul(kmat[:, tap : tap + c].T, g, out=dtap)
+                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dtap.reshape(c, ho, wo, b)
             _accumulate(x, dxp[:, padding : padding + h, padding : padding + w])
 
     return _make(out_data, (x, kernel), backward)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2 over the H and W axes of an NHWC input;
-    odd trailing rows/columns are dropped.
+    """2x2 max pooling with stride 2 over axes 1 and 2 (H and W of a CHWN
+    input); odd trailing rows/columns are dropped.
 
-    Ties inside a window go to the first element in row-major order so the
-    backward pass is deterministic.
+    With the window ``[[p, q], [r, s]]``, the output is
+    ``max(max(p, q), max(r, s))``.  When ``x`` needs a gradient the forward
+    also keeps which half won (``top >= bottom``) and which element won in
+    each half (``p >= q``, ``r >= s``); the backward routes the gradient by
+    these three masks, writing each window position once.  Ties go to the
+    first element in row-major order, so the backward pass is deterministic.
+    For NaN-free inputs this is the element equal to the maximum that comes
+    first; a NaN feature makes the loss NaN, and ``train`` stops before any
+    backward pass.
     """
     h, w = x.data.shape[1:3]
     ho, wo = h // 2, w // 2
     if ho < 1 or wo < 1:
         raise AutodiffError(f"maxpool2x2 needs at least 2x2 input, got {h}x{w}")
-    # the four window positions in row-major order, each a strided (b, ho, wo, c) view
+    # the four window positions in row-major order, each a strided (c, ho, wo, b) view
     corners = [np.s_[:, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1)]
     p, q, r, s = (x.data[k] for k in corners)
-    out_data = np.maximum(np.maximum(p, q), np.maximum(r, s))
+    top = np.maximum(p, q)
+    bottom = np.maximum(r, s)
+    out_data = np.maximum(top, bottom)
+    if not x.requires_grad:  # no tape (as in evaluate), so no masks to pay for
+        return Tensor(out_data)
+    top_wins, p_wins, r_wins = top >= bottom, p >= q, r >= s
 
     def backward(out):
-        dx = np.zeros_like(x.data)
-        free = np.ones(out_data.shape, dtype=bool)  # windows whose max is not yet placed
-        for k in corners:
-            hit = x.data[k] == out_data
-            hit &= free
+        # every position is written below, except dropped odd rows/columns
+        dx = np.zeros_like(x.data) if h % 2 or w % 2 else np.empty_like(x.data)
+        bottom_wins = ~top_wins
+        first = top_wins & p_wins
+        third = bottom_wins & r_wins
+        for k, hit in zip(corners, (first, top_wins ^ first, third, bottom_wins ^ third)):
             np.multiply(out.grad, hit, out=dx[k])
-            free ^= hit
         _accumulate(x, dx)
 
     return _make(out_data, (x,), backward)

@@ -151,7 +151,7 @@ def cmd_train(args) -> int:
         overrides[("output", "dir")] = args.out
     cfg = load_run_config(args.config, overrides)
     data = build_datasets(cfg)
-    check_run(cfg.train, data)
+    check_run(cfg.train, data, DEFAULT_SPEC)
 
     out_dir = Path(cfg.output["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

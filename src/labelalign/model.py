@@ -9,6 +9,11 @@ monotone, also after float rounding, so they commute with max: the values
 are those of conv -> bias -> ReLU -> maxpool per stage, with the add and the
 ReLU on 4x fewer elements.  Sized so that a 128-sample batch yields a
 128x128 feature matrix for the per-batch SVD.
+
+The conv stages run on CHWN activations (channels, height, width, batch),
+batch innermost.  The flatten reads them in NCHW order, one ``c*h*w`` row
+per sample, so the rows of ``feat_w``, the parameters and checkpoints do
+not depend on the stage layout.
 """
 
 from __future__ import annotations
@@ -98,13 +103,14 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ParameterSet:
 
 def forward_features(params: ParameterSet, spec: ModelSpec, x: Tensor) -> Tensor:
     """f: image batch (b, c, h, w) -> feature matrix (b, feature_dim); the
-    stages run NHWC, the flatten reads NCHW order (the rows of ``feat_w``)."""
+    stages run CHWN, the flatten reads NCHW order (the rows of ``feat_w``)."""
     pad = spec.kernel_size // 2
-    out = ad.transpose(x, (0, 2, 3, 1))
+    out = ad.transpose(x, (1, 2, 3, 0))
     for i in range(len(spec.conv_channels)):
         out = ad.maxpool2x2(ad.conv2d(out, params[f"conv{i}_w"], stride=1, padding=pad))
-        out = ad.relu(ad.add(out, params[f"conv{i}_b"].reshape(1, 1, 1, -1)))
-    flat = ad.transpose(out, (0, 3, 1, 2)).reshape(out.shape[0], -1)
+        out = ad.relu(ad.add(out, params[f"conv{i}_b"].reshape(-1, 1, 1, 1)))
+    # (c*h*w, b) rows are in NCHW flatten order; BLAS reads the transposed view as is
+    flat = ad.transpose(out.reshape(-1, out.shape[-1]), (1, 0))
     return ad.add(ad.matmul(flat, params["feat_w"]), params["feat_b"])
 
 

@@ -191,11 +191,18 @@ def trainable_names(params: ParameterSet, cfg: TrainConfig) -> list[str]:
     return names
 
 
-def check_run(cfg: TrainConfig, data: TrainData):
+def check_run(cfg: TrainConfig, data: TrainData, spec: ModelSpec = DEFAULT_SPEC):
     """Raise :class:`ConfigError` for a run that cannot start: an invalid
-    config, ``dla`` without a target dataset, or a batch larger than a
-    dataset the run draws from."""
+    config, ``dla`` without a target dataset, images of another shape than
+    the model takes, or a batch larger than a dataset the run draws from."""
     cfg.validate()
+    expected = (spec.in_channels, *spec.image_hw)
+    for name in ("source", "target", "val", "test"):
+        dataset = getattr(data, name)
+        if dataset is not None and dataset.images.shape[1:] != expected:
+            raise ConfigError(
+                f"{name} images have shape {dataset.images.shape[1:]}, the model takes {expected}"
+            )
     if cfg.mode == "dla" and data.target is None:
         raise ConfigError("dla mode needs an unlabeled target dataset")
     target = data.target if cfg.mode == "dla" else None
@@ -218,7 +225,7 @@ def train(
     failure, a non-finite loss or non-finite weights rather than skipping the
     step; gradient-mode blowups should surface, not hide.
     """
-    check_run(cfg, data)
+    check_run(cfg, data, spec)
     target = data.target if cfg.mode == "dla" else None
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
     params = build_model(spec, int(seeds[0]), dtype=cfg.np_dtype)

@@ -51,7 +51,7 @@ def test_matmul_shape_mismatch_names_both_shapes():
 
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 5, 5, 3))
+    x = rng.standard_normal((2, 5, 5, 3)).transpose(3, 1, 2, 0)  # CHWN
     k = np.zeros((3, 3, 1, 1))
     for c in range(3):
         k[c, c, 0, 0] = 1.0
@@ -60,7 +60,7 @@ def test_conv2d_identity_kernel():
 
 
 def test_conv2d_ones_kernel_counts_window():
-    x = np.ones((1, 5, 5, 2))
+    x = np.ones((2, 5, 5, 1))
     k = np.ones((1, 2, 3, 3))
     out = ad.conv2d(t64(x), t64(k), stride=1, padding=0)
     assert out.data.shape == (1, 3, 3, 1)
@@ -69,9 +69,9 @@ def test_conv2d_ones_kernel_counts_window():
 
 def test_conv2d_zero_kernel():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((1, 4, 4, 2))
+    x = rng.standard_normal((1, 4, 4, 2)).transpose(3, 1, 2, 0)  # CHWN
     out = ad.conv2d(t64(x), t64(np.zeros((3, 2, 2, 2))))
-    assert out.data.shape == (1, 3, 3, 3)
+    assert out.data.shape == (3, 3, 3, 1)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
 
 
@@ -79,7 +79,7 @@ def test_conv2d_output_shape_formula():
     x = t64(np.zeros((1, 11, 9, 1)))
     k = t64(np.zeros((2, 1, 3, 3)))
     out = ad.conv2d(x, k, stride=2, padding=1)
-    assert out.data.shape == (1, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1, 2)
+    assert out.data.shape == (2, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1, 1)
 
 
 def test_conv2d_kernel_too_large_rejected():
@@ -265,7 +265,7 @@ def test_fd_reshape_sum_mean():
     )
 
 
-# (NHWC input, OIHW kernel, stride, padding); the 2x3 kernels on a 5x6 input
+# (CHWN input, OIHW kernel, stride, padding); the 2x3 kernels on a 5x6 input
 # catch a swapped height and width anywhere in the forward or the backward
 CONV_CASES = [
     ((2, 5, 5, 2), (3, 2, 3, 3), 2, 1),
@@ -289,7 +289,7 @@ def test_conv2d_matches_an_nchw_einsum_reference():
     for x_shape, k_shape, stride, padding in CONV_CASES:
         x = rng.standard_normal(x_shape)
         k = rng.standard_normal(k_shape)
-        xp = np.pad(x.transpose(0, 3, 1, 2), ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+        xp = np.pad(x.transpose(3, 0, 1, 2), ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
         kh, kw = k_shape[2:]
         ho = (xp.shape[2] - kh) // stride + 1
         wo = (xp.shape[3] - kw) // stride + 1
@@ -299,7 +299,7 @@ def test_conv2d_matches_an_nchw_einsum_reference():
                 patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
                 expected = expected + np.einsum("nchw,oc->nohw", patch, k[:, :, i, j])
         out = ad.conv2d(t64(x), t64(k), stride=stride, padding=padding)
-        assert rel_err(out.data, expected.transpose(0, 2, 3, 1)) < 1e-12
+        assert rel_err(out.data, expected.transpose(1, 2, 3, 0)) < 1e-12
 
 
 def test_fd_maxpool():
@@ -342,10 +342,62 @@ def test_maxpool_tie_break_first_occurrence():
     np.testing.assert_array_equal(t.grad[0, :, :, 1], [[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
 
 
+def first_hit_pool(x, upstream):
+    """The four-pass reference: 2x2 max pool over axes 1 and 2, and the input
+    gradient routed to the first window element, in row-major order, equal
+    to the maximum."""
+    ho, wo = x.shape[1] // 2, x.shape[2] // 2
+    corners = [np.s_[:, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1)]
+    p, q, r, s = (x[k] for k in corners)
+    out = np.maximum(np.maximum(p, q), np.maximum(r, s))
+    dx = np.zeros_like(x)
+    free = np.ones(out.shape, dtype=bool)  # windows whose max is not yet placed
+    for k in corners:
+        hit = x[k] == out
+        hit &= free
+        np.multiply(upstream, hit, out=dx[k])
+        free ^= hit
+    return out, dx
+
+
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.tuples(st.integers(1, 3), st.integers(2, 7), st.integers(2, 7), st.integers(1, 3)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_maxpool_matches_the_first_hit_walk_bitwise(dtype, shape, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values plant ties; signed zeros fill whole windows
+    x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 1.0]), size=shape).astype(dtype)
+    x[:, :2, :2, 0] = 0.0
+    x[-1, :2, :2, -1] = -0.0
+    upstream = rng.standard_normal((shape[0], shape[1] // 2, shape[2] // 2, shape[3])).astype(dtype)
+    t = Tensor(x, requires_grad=True)
+    out = ad.maxpool2x2(t)
+    backward(ad.tsum(ad.mul(out, Tensor(upstream))))
+    expected_out, expected_dx = first_hit_pool(x, upstream)
+    assert out.data.dtype == t.grad.dtype == dtype
+    assert out.data.tobytes() == expected_out.tobytes()
+    assert t.grad.tobytes() == expected_dx.tobytes()
+
+
+def test_maxpool_keeps_masks_only_for_a_gradient():
+    x = np.random.default_rng(12).standard_normal((2, 4, 6, 3))
+    frozen = ad.maxpool2x2(t64(x, grad=False))
+    assert frozen._backward is None and frozen._parents == ()  # nothing holds a mask
+    kept = [
+        cell.cell_contents
+        for cell in ad.maxpool2x2(t64(x))._backward.__closure__
+        if isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.dtype == bool
+    ]
+    assert [m.shape for m in kept] == [(2, 2, 3, 3)] * 3
+
+
 def test_forward_and_gradients_deterministic():
     def run():
         rng = np.random.default_rng(11)
-        x = t64(rng.standard_normal((2, 6, 6, 1)))
+        x = t64(rng.standard_normal((2, 6, 6, 1)).transpose(3, 1, 2, 0))  # CHWN
         k = t64(rng.standard_normal((2, 1, 3, 3)))
         out = ad.relu(ad.conv2d(x, k, padding=1))
         loss = ad.tsum(ad.mul(out, out))

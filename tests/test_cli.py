@@ -185,7 +185,7 @@ def usps_text(rng, count: int) -> str:
     )
 
 
-def write_data_files(root, mnist_labels=None, usps_train=None):
+def write_data_files(root, mnist_labels=None, usps_train=None, mnist_hw=(28, 28)):
     """MNIST-format (gzip IDX) and USPS-format (bzip2 sparse text) files
     under ``root``: 32 source images, 24 target and 20 target test lines.
     Returns a config that trains ``dla`` on them at batch 16."""
@@ -193,7 +193,8 @@ def write_data_files(root, mnist_labels=None, usps_train=None):
     (root / "mnist").mkdir()
     (root / "usps").mkdir()
     labels = rng.integers(0, 10, 32, dtype=np.uint8) if mnist_labels is None else mnist_labels
-    images = struct.pack(">IIII", 0x803, 32, 28, 28) + rng.integers(0, 256, 32 * 784, dtype=np.uint8).tobytes()
+    pixels = rng.integers(0, 256, 32 * mnist_hw[0] * mnist_hw[1], dtype=np.uint8)
+    images = struct.pack(">IIII", 0x803, 32, *mnist_hw) + pixels.tobytes()
     (root / "mnist/train-images-idx3-ubyte.gz").write_bytes(gzip.compress(images))
     (root / "mnist/train-labels-idx1-ubyte.gz").write_bytes(
         gzip.compress(struct.pack(">II", 0x801, len(labels)) + labels.tobytes())
@@ -240,6 +241,15 @@ def test_mnist_label_outside_0_to_9_exits_1_before_writing(tmp_path, capsys):
     assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "train-labels-idx1-ubyte.gz: label 200 at index 5 outside 0..9" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("hw", [(20, 20), (0, 28)])
+def test_images_the_model_cannot_take_exit_1_before_writing(tmp_path, capsys, hw):
+    config = write_data_files(tmp_path, mnist_hw=hw)
+    assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"source images have shape (1, {hw[0]}, {hw[1]}), the model takes (1, 28, 28)" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -124,3 +124,14 @@ def test_float64_features_match_an_nchw_reference():
     phi = forward_features(params, spec, Tensor(images))
     expected = reference_features(params, spec, images)
     assert np.abs(phi.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_float64_default_spec_features_match_the_nchw_reference():
+    # 32 channels of 7x7 flatten into the 1568 rows of feat_w in NCHW order
+    params = build_model(DEFAULT_SPEC, seed=6, dtype=np.float64)
+    for name in ("conv0_b", "conv1_b"):
+        params[name].data[:] = np.random.default_rng(7).standard_normal(params[name].shape) * 0.1
+    images = np.random.default_rng(8).random((5, 1, 28, 28))
+    phi = forward_features(params, DEFAULT_SPEC, Tensor(images))
+    expected = reference_features(params, DEFAULT_SPEC, images)
+    assert np.abs(phi.data - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -12,7 +12,7 @@ from labelalign.autodiff import Tensor
 from labelalign.data import make_synthetic
 from labelalign.model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
 from labelalign.spectral import SpectralError
-from labelalign.training import TrainConfig, TrainData, dla_loss, evaluate, train, trainable_names
+from labelalign.training import ConfigError, TrainConfig, TrainData, dla_loss, evaluate, train, trainable_names
 
 SPEC = ModelSpec(image_hw=(8, 8), conv_channels=(2,), feature_dim=4, classes=3)
 BATCH = 6
@@ -154,3 +154,12 @@ def test_steady_training_steps_fault_in_no_fresh_pages():
     train(cfg, data, on_step=count_faults)
     per_step = np.diff(faults[1:])  # from the end of the second warm-up step
     assert per_step.mean() < 1000, per_step
+
+
+def test_train_refuses_images_the_model_cannot_take():
+    cfg = TrainConfig(mode="no_adapt", batch_size=4, steps=1, val_every=0, timing=False)
+    with pytest.raises(ConfigError, match=r"source images have shape \(1, 28, 28\), the model takes \(1, 8, 8\)"):
+        train(cfg, TrainData(source=make_synthetic(8, 1)), SPEC)
+    val = make_synthetic(8, 2, hw=(8, 9))
+    with pytest.raises(ConfigError, match=r"val images have shape \(1, 8, 9\)"):
+        train(cfg, TrainData(source=make_synthetic(8, 1, hw=(8, 8)), val=val), SPEC)
