@@ -16,7 +16,11 @@ Arrays are float32 or float64 and never upcast silently: training code runs
 at float32 while numerical test oracles run the same code paths at float64.
 Convolution and pooling take batch-innermost (CHWN: channels, height,
 width, batch) activations, so im2col copies and elementwise passes run over
-spans of at least a batch of contiguous values; kernels are OIHW.
+spans of at least a batch of contiguous values; kernels are OIHW.  A
+convolution builds its im2col columns one block of output rows at a time,
+each block sized (``COLUMN_BLOCK_BYTES``) to be read by its GEMM from L2
+rather than from memory, and its tape keeps the padded input, not the
+columns.
 
 On import, glibc is asked to keep freed arrays in the process: a tape frees
 tens of MB per training step that the next step allocates again, and handing
@@ -227,11 +231,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    out_data = np.where(mask, a.data, 0)
+    """``max(a, 0)`` with NaN and ``-0.0`` mapped to ``+0.0``, the bits of
+    ``np.where(a > 0, a, 0)``.  ``fmax`` drops NaN without a data-dependent
+    branch and ``+= 0`` turns ``-0.0`` into ``+0.0``; the backward reads its
+    mask off the output, so the tape keeps no mask."""
+    out_data = np.fmax(a.data, 0)
+    out_data += 0
 
     def backward(out):
-        _accumulate(a, out.grad * mask)
+        _accumulate(a, out.grad * (out.data > 0))
 
     return _make(out_data, (a,), backward)
 
@@ -291,6 +299,10 @@ def tsum(a: Tensor) -> Tensor:
 # convolution / pooling (CHWN activations, OIHW kernels)
 # ---------------------------------------------------------------------------
 
+# Bytes of im2col columns built per block: half of a 2 MiB per-core L2, so a
+# block, the kernel matrix and the block's output columns stay in L2 together.
+COLUMN_BLOCK_BYTES = 1 << 20
+
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of a CHWN input with an OIHW kernel, zero padded;
@@ -299,9 +311,17 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     Output spatial size is ``(h + 2*padding - kh) // stride + 1`` (same for
     width).  Differentiable w.r.t. both the input and the kernel.
 
-    The im2col matrix has one row per ``(kh, kw, c)`` kernel entry and one
-    column per output pixel in ``(ho, wo, b)`` order, so its copy moves runs
-    of ``b`` contiguous values and the forward is one ``(o, kh*kw*c)`` GEMM.
+    The im2col columns have one row per ``(kh, kw, c)`` kernel entry and one
+    column per output pixel in ``(ho, wo, b)`` order, so their copy moves
+    runs of ``b`` contiguous values.  They are built one block of output rows
+    at a time, into one reused buffer of at most ``COLUMN_BLOCK_BYTES`` (at
+    least one row): a block is copied and then read by its
+    ``(o, kh*kw*c)`` GEMM while it is still in L2, instead of streaming a
+    column matrix of tens of MB out to memory and back.  Each GEMM writes its
+    own columns of the output, so every output is the same length-``kh*kw*c``
+    dot product as in one GEMM over all columns.  The tape keeps the padded
+    input, not the columns; the kernel gradient builds the same blocks again
+    and adds up one ``(o, kh*kw*c)`` GEMM per block.
     The input gradient takes one GEMM per kernel tap, each added into the
     padded input over runs of ``wo*b`` values.
     """
@@ -327,6 +347,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         )
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    taps = kh * kw * c
+    span = wo * b  # columns per output row
 
     xp = x.data
     if padding:
@@ -335,17 +357,32 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     # (c, ho, wo, b, kh, kw) -> (kh, kw, c, ho, wo, b): rows match the
     # kernel's (kh, kw, c) columns, and the batch stays innermost
     windows = windows[:, ::stride, ::stride].transpose(4, 5, 0, 1, 2, 3)
-    cols = windows.reshape(kh * kw * c, ho * wo * b)
-    kmat = kernel.data.transpose(0, 2, 3, 1).reshape(o, kh * kw * c)
-    out_data = (kmat @ cols).reshape(o, ho, wo, b)
+    rows = min(ho, max(1, COLUMN_BLOCK_BYTES // max(1, taps * span * xp.itemsize)))
+
+    def column_blocks():
+        """(output columns, (taps, rows*span) column block) per block of rows."""
+        buf = np.empty(taps * rows * span, dtype=xp.dtype)
+        for r in range(0, ho, rows):
+            n = min(rows, ho - r)
+            block = buf[: taps * n * span].reshape(kh, kw, c, n, wo, b)
+            np.copyto(block, windows[:, :, :, r : r + n])
+            yield np.s_[:, r * span : (r + n) * span], block.reshape(taps, n * span)
+
+    kmat = kernel.data.transpose(0, 2, 3, 1).reshape(o, taps)
+    out_data = np.empty((o, ho * span), dtype=xp.dtype)
+    for cols, block in column_blocks():
+        np.matmul(kmat, block, out=out_data[cols])
 
     def backward(out):
-        g = out.grad.reshape(o, ho * wo * b)
+        g = out.grad.reshape(o, ho * span)
         if kernel.requires_grad:
-            _accumulate(kernel, (g @ cols.T).reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+            dk = np.zeros((o, taps), dtype=kernel.data.dtype)
+            for cols, block in column_blocks():
+                dk += g[cols] @ block.T
+            _accumulate(kernel, dk.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
         if x.requires_grad:
             dxp = np.zeros((c, hp, wp, b), dtype=x.data.dtype)
-            dtap = np.empty((c, ho * wo * b), dtype=x.data.dtype)
+            dtap = np.empty((c, ho * span), dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     tap = (i * kw + j) * c  # this tap's (o, c) block of kmat
@@ -353,7 +390,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
                     dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dtap.reshape(c, ho, wo, b)
             _accumulate(x, dxp[:, padding : padding + h, padding : padding + w])
 
-    return _make(out_data, (x, kernel), backward)
+    return _make(out_data.reshape(o, ho, wo, b), (x, kernel), backward)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,6 +38,25 @@ from .training import ConfigError, TrainData, TrainingAborted, check_run, evalua
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+
+# the checkout a source install runs from: src/labelalign/cli.py -> repo root
+SOURCE_ROOT = Path(__file__).resolve().parents[2]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def git_revision(root: Path = SOURCE_ROOT) -> str | None:
+    """HEAD of the git checkout at ``root``; None outside a checkout or
+    without a working ``git``."""
+    if not (root / ".git").exists():
+        return None
+    try:
+        done = subprocess.run(
+            ["git", "-C", str(root), "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() or None
 
 
 def _fmt_float(v: float) -> str:
@@ -170,6 +191,8 @@ def cmd_train(args) -> int:
             "numpy": np.__version__,
             "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
             "heap_keeps_freed_arrays": HEAP_TUNED,
+            "git_revision": git_revision(),
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,36 @@ def test_fd_relu():
     )
 
 
+RELU_SPECIALS = [np.nan, np.copysign(np.nan, -1.0), 0.0, -0.0, np.inf, -np.inf]
+
+
+@st.composite
+def relu_inputs(draw):
+    """An array of any float with NaN of either sign, signed zeros, infinities
+    and subnormals mixed in, plus a finite upstream gradient."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    info = np.finfo(dtype)
+    width = 32 if dtype == np.float32 else 64
+    tiny = float(info.smallest_subnormal)
+    specials = RELU_SPECIALS + [tiny, -tiny, float(info.smallest_normal) / 2, -float(info.smallest_normal) / 2]
+    values = draw(st.lists(st.sampled_from(specials) | st.floats(width=width), max_size=40))
+    grads = draw(st.lists(st.floats(-1e3, 1e3, width=width), min_size=len(values), max_size=len(values)))
+    return np.array(values, dtype=dtype), np.array(grads, dtype=dtype)
+
+
+@given(relu_inputs())
+@settings(max_examples=200, deadline=None)
+def test_relu_matches_where_bitwise(case):
+    a, g = case
+    t = Tensor(a, requires_grad=True)
+    out = ad.relu(t)
+    with np.errstate(invalid="ignore", over="ignore"):  # the loss may be inf * 0
+        backward(ad.tsum(ad.mul(out, Tensor(g))))
+    assert out.data.dtype == t.grad.dtype == a.dtype
+    assert out.data.tobytes() == np.where(a > 0, a, 0).tobytes()
+    assert t.grad.tobytes() == (g * (a > 0)).tobytes()
+
+
 def test_fd_sigmoid():
     _fd_check(
         lambda a: ad.tsum(ad.sigmoid(a)),
@@ -284,22 +315,85 @@ def test_fd_conv2d():
         )
 
 
+def einsum_conv(x, k, stride, padding):
+    """The float64 reference: a CHWN conv as one NCHW einsum per kernel tap."""
+    xp = np.pad(x.transpose(3, 0, 1, 2), ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+    kh, kw = k.shape[2:]
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    expected = 0.0
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            expected = expected + np.einsum("nchw,oc->nohw", patch, k[:, :, i, j])
+    return expected.transpose(1, 2, 3, 0)
+
+
 def test_conv2d_matches_an_nchw_einsum_reference():
     rng = np.random.default_rng(6)
     for x_shape, k_shape, stride, padding in CONV_CASES:
         x = rng.standard_normal(x_shape)
         k = rng.standard_normal(k_shape)
-        xp = np.pad(x.transpose(3, 0, 1, 2), ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
-        kh, kw = k_shape[2:]
-        ho = (xp.shape[2] - kh) // stride + 1
-        wo = (xp.shape[3] - kw) // stride + 1
-        expected = 0.0
-        for i in range(kh):
-            for j in range(kw):
-                patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-                expected = expected + np.einsum("nchw,oc->nohw", patch, k[:, :, i, j])
         out = ad.conv2d(t64(x), t64(k), stride=stride, padding=padding)
-        assert rel_err(out.data, expected.transpose(1, 2, 3, 0)) < 1e-12
+        assert rel_err(out.data, einsum_conv(x, k, stride, padding)) < 1e-12
+
+
+# (stride, padding, output rows per column block); the 15-row input gives 7
+# output rows at stride 2 unpadded, 9 with padding 2 and 17 at stride 1, so
+# 2- and 4-row blocks end ragged
+BLOCK_CASES = [(2, 0, 1), (2, 0, 2), (2, 2, 1), (2, 2, 2), (1, 2, 4)]
+
+
+def use_column_blocks(monkeypatch, x_shape, k_shape, stride, padding, rows):
+    """Size the column-block budget to ``rows`` output rows; returns how many
+    blocks a conv of these shapes then builds."""
+    c, h, w, b = x_shape
+    kh, kw = k_shape[2:]
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    monkeypatch.setattr(ad, "COLUMN_BLOCK_BYTES", rows * kh * kw * c * wo * b * 8)
+    return -(-ho // rows)
+
+
+@pytest.mark.parametrize("stride, padding, rows", BLOCK_CASES)
+def test_blocked_conv2d_matches_the_einsum_reference(monkeypatch, stride, padding, rows):
+    x_shape, k_shape = (2, 15, 9, 3), (3, 2, 3, 2)
+    assert use_column_blocks(monkeypatch, x_shape, k_shape, stride, padding, rows) >= 4
+    rng = np.random.default_rng(rows)
+    x, k = rng.standard_normal(x_shape), rng.standard_normal(k_shape)
+    out = ad.conv2d(t64(x), t64(k), stride=stride, padding=padding)
+    assert rel_err(out.data, einsum_conv(x, k, stride, padding)) < 1e-12
+
+
+@pytest.mark.parametrize("stride, padding, rows", BLOCK_CASES[:4])
+def test_fd_blocked_conv2d(monkeypatch, stride, padding, rows):
+    x_shape, k_shape = (1, 15, 5, 2), (2, 1, 3, 2)
+    assert use_column_blocks(monkeypatch, x_shape, k_shape, stride, padding, rows) >= 3
+    _fd_check(
+        lambda x, k: ad.tsum(ad.mul(ad.conv2d(x, k, stride=stride, padding=padding),
+                                    ad.conv2d(x, k, stride=stride, padding=padding))),
+        lambda rng: [rng.standard_normal(x_shape), rng.standard_normal(k_shape)],
+        n_seeds=2,
+        eps=1e-5,
+    )
+
+
+def test_conv2d_tape_holds_less_than_a_column_matrix():
+    # conv1 of the default model at batch 128: 16 -> 32 channels, 14x14, 3x3 'same'
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((16, 14, 14, 128), dtype=np.float32), requires_grad=True)
+    k = Tensor(rng.standard_normal((32, 16, 3, 3), dtype=np.float32), requires_grad=True)
+    columns = 3 * 3 * 16 * 14 * 14 * 128 * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, k, padding=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and out.data.nbytes == 32 * 14 * 14 * 128 * 4
+    assert held - before < columns
+    assert peak - before < columns
 
 
 def test_fd_maxpool():

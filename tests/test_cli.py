@@ -2,7 +2,9 @@ import bz2
 import gzip
 import json
 import platform
+import shutil
 import struct
+import subprocess
 import sys
 
 import numpy as np
@@ -10,7 +12,15 @@ import pytest
 
 from labelalign.autodiff import HEAP_TUNED
 from labelalign.checkpoint import MAGIC, VERSION
-from labelalign.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_datasets, main
+from labelalign.cli import (
+    EXIT_OK,
+    EXIT_RUNTIME,
+    EXIT_VALIDATION,
+    SOURCE_ROOT,
+    build_datasets,
+    git_revision,
+    main,
+)
 from labelalign.config import load_run_config
 from labelalign.model import DEFAULT_SPEC
 from labelalign.training import evaluate, train
@@ -41,7 +51,9 @@ def run_train(config, out):
     return main(["train", "--config", str(config), "--out", str(out)])
 
 
-def test_train_then_eval_matches_evaluate(tmp_path, tiny_config, capsys):
+def test_train_then_eval_matches_evaluate(tmp_path, tiny_config, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     out = tmp_path / "run"
     assert run_train(tiny_config, out) == EXIT_OK
     capsys.readouterr()
@@ -52,6 +64,8 @@ def test_train_then_eval_matches_evaluate(tmp_path, tiny_config, capsys):
         "numpy": np.__version__,
         "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
         "heap_keeps_freed_arrays": HEAP_TUNED,
+        "git_revision": checkout_head(SOURCE_ROOT),
+        "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
     }
     assert HEAP_TUNED or not (sys.platform == "linux" and platform.libc_ver()[0] == "glibc")
 
@@ -62,6 +76,24 @@ def test_train_then_eval_matches_evaluate(tmp_path, tiny_config, capsys):
     data = build_datasets(cfg)
     result = train(cfg.train, data, DEFAULT_SPEC)
     assert printed == f"{100 * evaluate(result.params, DEFAULT_SPEC, data.test):.2f}"
+
+
+def checkout_head(root):
+    """HEAD of the checkout at ``root`` as git reports it, or None."""
+    if not (root / ".git").exists() or shutil.which("git") is None:
+        return None
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_revision_is_head_in_a_checkout_and_none_outside(tmp_path):
+    assert git_revision(tmp_path) is None
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", "-C", str(tmp_path)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "empty"], check=True)
+    revision = git_revision(tmp_path)
+    assert revision == checkout_head(tmp_path) and len(revision) == 40
 
 
 def test_rerun_from_echo_is_bitwise_identical(tmp_path, tiny_config):
