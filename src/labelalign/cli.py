@@ -32,7 +32,7 @@ from .data import (
 )
 from .linearlab import LinearLabError, identity_suite
 from .model import DEFAULT_SPEC
-from .plotting import METRICS_HEADER, PlotError, plot_metrics
+from .plotting import METRICS_HEADER, PlotError, metrics_row, plot_metrics
 from .training import ConfigError, TrainData, TrainingAborted, check_run, evaluate, train
 
 EXIT_OK = 0
@@ -59,36 +59,47 @@ def git_revision(root: Path = SOURCE_ROOT) -> str | None:
     return done.stdout.strip() or None
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
-def _metrics_row(record, cfg) -> str:
-    parts = record.parts
-    cells = [
-        str(record.step),
-        _fmt_float(parts.total),
-        _fmt_float(parts.cls),
-        _fmt_float(cfg.train.lam * parts.align),
-        _fmt_float(cfg.train.gamma * parts.k_reg),
-        _fmt_float(parts.k),
-        _fmt_float(record.src_acc),
-        "" if record.val_acc is None else _fmt_float(record.val_acc),
-        "" if record.wall_ms is None else f"{record.wall_ms:.3f}",
-    ]
-    return ",".join(cells)
-
-
 # ---------------------------------------------------------------------------
 # dataset assembly
 # ---------------------------------------------------------------------------
 
 
-def build_datasets(cfg: RunConfig) -> TrainData:
+def _data_files(cfg: RunConfig, *keys: str) -> list[Path]:
+    paths = [cfg.data_path(key) for key in keys]
+    missing = [str(p) for p in paths if not p.exists()]
+    if missing:
+        raise ConfigError(
+            "dataset files not found: "
+            + ", ".join(missing)
+            + f" (set [data] dir or ${DATA_DIR_ENV}; see README.md for the file layout)"
+        )
+    return paths
+
+
+def _split_seeds(cfg: RunConfig) -> np.ndarray:
+    """Seeds of the synthetic source, target, val and test sets."""
+    return np.random.SeedSequence(cfg.data["split_seed"]).generate_state(4)
+
+
+def source_dataset(cfg: RunConfig, split: str = "train") -> ImageDataset:
+    """The labeled source set: MNIST ``train`` or ``test``, or the synthetic
+    source (``train`` only)."""
     data = cfg.data
     if data["dataset"] == "synthetic":
-        seeds = np.random.SeedSequence(data["split_seed"]).generate_state(4)
-        source = make_synthetic(data["synthetic_source_size"], int(seeds[0]), split="train")
+        if split != "train":
+            raise ConfigError("synthetic runs have no separate source test set")
+        ds = make_synthetic(data["synthetic_source_size"], int(_split_seeds(cfg)[0]), split="train")
+    else:
+        images, labels = _data_files(cfg, f"mnist_{split}_images", f"mnist_{split}_labels")
+        ds = load_mnist(images, labels, split=split)
+    return standardize(ds) if data["standardize"] else ds
+
+
+def target_datasets(cfg: RunConfig) -> tuple[ImageDataset, ImageDataset, ImageDataset]:
+    """(unlabeled adaptation pool, labeled val, labeled test) of the target domain."""
+    data = cfg.data
+    if data["dataset"] == "synthetic":
+        seeds = _split_seeds(cfg)
         target = make_synthetic(
             data["synthetic_target_size"], int(seeds[1]), domain_shift=0.35, split="train"
         ).drop_labels()
@@ -99,35 +110,25 @@ def build_datasets(cfg: RunConfig) -> TrainData:
             data["synthetic_test_size"], int(seeds[3]), domain_shift=0.35, split="test"
         )
     else:
-        paths = {
-            key: cfg.data_path(key)
-            for key in (
-                "mnist_train_images",
-                "mnist_train_labels",
-                "usps_train",
-                "usps_test",
-            )
-        }
-        missing = [str(p) for p in paths.values() if not p.exists()]
-        if missing:
-            raise ConfigError(
-                "dataset files not found: "
-                + ", ".join(missing)
-                + f" (set [data] dir or ${DATA_DIR_ENV}; see README.md for the file layout)"
-            )
-        source = load_mnist(paths["mnist_train_images"], paths["mnist_train_labels"], split="train")
-        usps_train = load_usps(paths["usps_train"], split="train")
-        usps_test = load_usps(paths["usps_test"], split="test")
+        train_path, test_path = _data_files(cfg, "usps_train", "usps_test")
+        usps_train = load_usps(train_path, split="train")
+        usps_test = load_usps(test_path, split="test")
         target, val, test = split_target(usps_train, usps_test, seed=data["split_seed"])
     if data["standardize"]:
-        source = standardize(source)
-        target = standardize(target) if target is not None else None
-        val = standardize(val)
-        test = standardize(test)
+        target, val, test = standardize(target), standardize(val), standardize(test)
+    return target, val, test
+
+
+def build_datasets(cfg: RunConfig) -> TrainData:
+    if cfg.data["dataset"] != "synthetic":  # name every missing file before any load
+        _data_files(cfg, "mnist_train_images", "mnist_train_labels", "usps_train", "usps_test")
+    source = source_dataset(cfg)
+    target, val, test = target_datasets(cfg)
     return TrainData(source=source, target=target, val=val, test=test)
 
 
 def _eval_dataset(cfg: RunConfig, name: str) -> ImageDataset:
+    """The one dataset ``eval`` scores; only its own domain's files are read."""
     aliases = {
         "usps-test": "target-test",
         "usps-val": "target-val",
@@ -135,28 +136,12 @@ def _eval_dataset(cfg: RunConfig, name: str) -> ImageDataset:
         "mnist-train": "source-train",
     }
     name = aliases.get(name, name)
-    bundle = build_datasets(cfg)
-    if name == "target-test":
-        ds = bundle.test
-    elif name == "target-val":
-        ds = bundle.val
-    elif name == "source-train":
-        ds = bundle.source
-    elif name == "source-test":
-        if cfg.data["dataset"] == "synthetic":
-            raise ConfigError("synthetic runs have no separate source test set")
-        ds = load_mnist(
-            cfg.data_path("mnist_test_images"),
-            cfg.data_path("mnist_test_labels"),
-            split="test",
-        )
-        if cfg.data["standardize"]:
-            ds = standardize(ds)
-    else:
-        raise ConfigError(f"unknown evaluation dataset '{name}'")
-    if ds is None:
-        raise ConfigError(f"run configuration provides no '{name}' dataset")
-    return ds
+    if name in ("source-train", "source-test"):
+        return source_dataset(cfg, name.removeprefix("source-"))
+    if name in ("target-val", "target-test"):
+        _, val, test = target_datasets(cfg)
+        return val if name == "target-val" else test
+    raise ConfigError(f"unknown evaluation dataset '{name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +202,7 @@ def cmd_train(args) -> int:
 
         def on_step(record, params):
             if record.step % every == 0:
-                fh.write(_metrics_row(record, cfg) + "\n")
+                fh.write(metrics_row(record, cfg.train) + "\n")
             if ckpt_every and record.step % ckpt_every == 0:
                 save_checkpoint(
                     out_dir / f"checkpoint_step{record.step}.ckpt", params, flat

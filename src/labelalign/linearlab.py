@@ -6,8 +6,10 @@ domain-adaptation surrogate and the hard-gated matrix forms must all agree.
 This module generates such problems, evaluates every objective form at
 64-bit, and checks the pairwise identities across sizes and seeds.
 
-Hard index cutoffs are used throughout: the linear theory is stated with
-exact ranks, soft gates belong to the deep pipeline.
+The matrix forms run training's own filter, :func:`spectral.spectral_filter`,
+with the hard 0/1 gate ``w_i = [i < k]``: the linear theory is stated with
+exact ranks, and a hard gate is the soft gate's limit.  So the identity suite
+checks the filter's sides and split, not the deep objective built on them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .autodiff import Tensor
+from .spectral import SvdFactors, spectral_filter
 
 FORMS = ("full", "decomposed", "uda", "combined", "matrix_top", "matrix_bottom")
 
@@ -33,27 +38,22 @@ class SolveReport:
 
 @dataclass
 class LinearProblem:
-    """Synthetic source/target pair with known alignment ranks.
+    """Synthetic source/target pair with known alignment rank.
 
-    The construction factors are cached: ``phi = (u * sigma) @ v.T`` with
-    orthonormal ``u`` (n x d) and ``v`` (d x d), strictly decreasing positive
-    spectrum, and ``y`` built from the first ``k_star`` columns of ``u`` (plus
-    optional noise).  The target matrix is built the same way from its own
-    factors.
+    Each domain keeps its construction factors: orthonormal ``u`` (n x d) and
+    ``v`` (d x d) and a strictly decreasing positive spectrum, with
+    ``phi = source.reconstruct()`` and ``phi_tilde = target.reconstruct()``.
+    ``y`` is built from the first ``k_star`` columns of ``source.u`` (plus
+    optional noise).
     """
 
     phi: np.ndarray
     y: np.ndarray
     phi_tilde: np.ndarray
     k_star: int
-    k_tilde_star: int
     noise: float
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-    u_tilde: np.ndarray
-    sigma_tilde: np.ndarray
-    v_tilde: np.ndarray
+    source: SvdFactors
+    target: SvdFactors
 
     @property
     def n(self) -> int:
@@ -64,54 +64,34 @@ class LinearProblem:
         return self.phi.shape[1]
 
 
-def _orthonormal(rng, rows: int, cols: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
-    return q
+def _random_factors(rng, n: int, d: int) -> SvdFactors:
+    u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return SvdFactors(u=u, sigma=2.0 * 0.8 ** np.arange(d), v=v)
 
 
-def _spectrum(d: int) -> np.ndarray:
-    return 2.0 * 0.8 ** np.arange(d)
-
-
-def gen_synthetic(
-    n: int, d: int, k_star: int, k_tilde_star: int, noise: float = 0.0, seed: int = 0
-) -> LinearProblem:
+def gen_synthetic(n: int, d: int, k_star: int, noise: float = 0.0, seed: int = 0) -> LinearProblem:
     if not 1 <= k_star <= d:
         raise LinearLabError(f"k_star must satisfy 1 <= k_star <= d, got {k_star} with d={d}")
-    if not 1 <= k_tilde_star <= d:
-        raise LinearLabError(
-            f"k_tilde_star must satisfy 1 <= k_tilde_star <= d, got {k_tilde_star} with d={d}"
-        )
     if d > n:
         raise LinearLabError(f"the lab requires d <= n, got d={d}, n={n}")
     if not 0 <= noise < np.inf:
         raise LinearLabError(f"noise must be finite and nonnegative, got {noise}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = _orthonormal(rng, n, d)
-    v = _orthonormal(rng, d, d)
-    sigma = _spectrum(d)
-    phi = (u * sigma) @ v.T
+    source = _random_factors(rng, n, d)
     coeff = rng.uniform(0.5, 1.5, size=k_star) * rng.choice([-1.0, 1.0], size=k_star)
-    y = u[:, :k_star] @ coeff
+    y = source.u[:, :k_star] @ coeff
     if noise > 0:
         y = y + noise * rng.standard_normal(n)
-    u_t = _orthonormal(rng, n, d)
-    v_t = _orthonormal(rng, d, d)
-    sigma_t = _spectrum(d)
-    phi_t = (u_t * sigma_t) @ v_t.T
+    target = _random_factors(rng, n, d)
     return LinearProblem(
-        phi=phi,
+        phi=source.reconstruct(),
         y=y,
-        phi_tilde=phi_t,
+        phi_tilde=target.reconstruct(),
         k_star=k_star,
-        k_tilde_star=k_tilde_star,
         noise=noise,
-        u=u,
-        sigma=sigma,
-        v=v,
-        u_tilde=u_t,
-        sigma_tilde=sigma_t,
-        v_tilde=v_t,
+        source=source,
+        target=target,
     )
 
 
@@ -121,13 +101,20 @@ def gen_synthetic(
 
 
 def _terms(problem: LinearProblem, w: np.ndarray, k: int):
-    wv = problem.v.T @ w
-    yu = problem.u.T @ problem.y
-    wvt = problem.v_tilde.T @ w
-    fit_top = float(np.sum((problem.sigma[:k] * wv[:k] - yu[:k]) ** 2))
-    trail_src = float(np.sum((problem.sigma[k:] * wv[k:]) ** 2))
-    trail_tgt = float(np.sum((problem.sigma_tilde[k:] * wvt[k:]) ** 2))
+    src, tgt = problem.source, problem.target
+    wv = src.v.T @ w
+    yu = src.u.T @ problem.y
+    wvt = tgt.v.T @ w
+    fit_top = float(np.sum((src.sigma[:k] * wv[:k] - yu[:k]) ** 2))
+    trail_src = float(np.sum((src.sigma[k:] * wv[k:]) ** 2))
+    trail_tgt = float(np.sum((tgt.sigma[k:] * wvt[k:]) ** 2))
     return fit_top, trail_src, trail_tgt, yu
+
+
+def _hard_filter(phi: np.ndarray, k: int, side: str) -> np.ndarray:
+    """``spectral_filter`` of ``phi`` at float64 with the gate ``w_i = [i < k]``."""
+    gate = Tensor(np.arange(min(phi.shape)) < k)
+    return spectral_filter(Tensor(phi), gate, side).data
 
 
 def linear_objective(problem: LinearProblem, w: np.ndarray, k: int, form: str) -> float:
@@ -138,9 +125,10 @@ def linear_objective(problem: LinearProblem, w: np.ndarray, k: int, form: str) -
     ``uda``           full source loss, minus the source trailing term, plus the
                       target trailing term (same cut index for both domains).
     ``combined``      top-k source fit plus the target trailing term.
-    ``matrix_top``    least squares against the hard-gated top reconstruction.
-    ``matrix_bottom`` squared output norm of the hard-gated bottom target
-                      reconstruction.
+    ``matrix_top``    least squares against the hard-gated top filter of the
+                      source.
+    ``matrix_bottom`` squared output norm of the hard-gated bottom filter of
+                      the target.
     """
     if form not in FORMS:
         raise LinearLabError(f"unknown objective form '{form}' (expected one of {FORMS})")
@@ -150,15 +138,9 @@ def linear_objective(problem: LinearProblem, w: np.ndarray, k: int, form: str) -
     if form == "full":
         return float(np.sum((problem.phi @ w - problem.y) ** 2))
     if form == "matrix_top":
-        gated = problem.sigma.copy()
-        gated[k:] = 0.0
-        top = (problem.u * gated) @ problem.v.T
-        return float(np.sum((top @ w - problem.y) ** 2))
+        return float(np.sum((_hard_filter(problem.phi, k, "top") @ w - problem.y) ** 2))
     if form == "matrix_bottom":
-        gated = problem.sigma_tilde.copy()
-        gated[:k] = 0.0
-        bottom = (problem.u_tilde * gated) @ problem.v_tilde.T
-        return float(np.sum((bottom @ w) ** 2))
+        return float(np.sum((_hard_filter(problem.phi_tilde, k, "bottom") @ w) ** 2))
     fit_top, trail_src, trail_tgt, _ = _terms(problem, w, k)
     if form == "decomposed":
         return fit_top + trail_src
@@ -170,7 +152,7 @@ def linear_objective(problem: LinearProblem, w: np.ndarray, k: int, form: str) -
 def alignment_residual(problem: LinearProblem, k: int | None = None) -> float:
     """max |(U^T y)_i| over indices beyond the alignment rank."""
     k = problem.k_star if k is None else k
-    yu = problem.u.T @ problem.y
+    yu = problem.source.u.T @ problem.y
     if k >= problem.d:
         return 0.0
     return float(np.abs(yu[k:]).max())
@@ -182,11 +164,12 @@ def alignment_residual(problem: LinearProblem, k: int | None = None) -> float:
 
 
 def _combined_gradient(problem: LinearProblem, w: np.ndarray, k: int) -> np.ndarray:
-    wv = problem.v.T @ w
-    yu = problem.u.T @ problem.y
-    wvt = problem.v_tilde.T @ w
-    g = 2.0 * problem.v[:, :k] @ (problem.sigma[:k] * (problem.sigma[:k] * wv[:k] - yu[:k]))
-    g += 2.0 * problem.v_tilde[:, k:] @ (problem.sigma_tilde[k:] ** 2 * wvt[k:])
+    src, tgt = problem.source, problem.target
+    wv = src.v.T @ w
+    yu = src.u.T @ problem.y
+    wvt = tgt.v.T @ w
+    g = 2.0 * src.v[:, :k] @ (src.sigma[:k] * (src.sigma[:k] * wv[:k] - yu[:k]))
+    g += 2.0 * tgt.v[:, k:] @ (tgt.sigma[k:] ** 2 * wvt[k:])
     return g
 
 
@@ -277,7 +260,7 @@ def identity_suite(
     for n, d in sizes:
         k = min(k_star, d)
         for seed in range(seeds):
-            problem = gen_synthetic(n, d, k, k, noise=noise, seed=seed)
+            problem = gen_synthetic(n, d, k, noise=noise, seed=seed)
             rng = np.random.Generator(np.random.PCG64(seed + 7919))
             worst: dict[str, tuple[float, float]] = {}
             for _ in range(draws):
@@ -298,7 +281,7 @@ def identity_suite(
                     }
                 else:
                     dropped_mid = float(np.sum(yu[k:] ** 2))
-                    perp = problem.y - problem.u @ yu
+                    perp = problem.y - problem.source.u @ yu
                     dropped = dropped_mid + float(np.sum(perp**2))
                     bound = dropped + 2.0 * np.sqrt(trail_src * dropped_mid) + 1e-8
                     # uda - combined carries exactly the same dropped mass as

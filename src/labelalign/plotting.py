@@ -1,10 +1,12 @@
-"""Deterministic SVG line charts from a metrics CSV.
+"""The ``metrics.csv`` format, and deterministic SVG line charts from it.
 
-No raster dependencies: the chart is plain SVG text, so identical input
-produces byte-identical output and diffs stay readable.  Three series are
-drawn against the step axis: the classification term, the weighted alignment
-term (both on the left loss axis) and the validation accuracy (right axis,
-0..1, drawn only at sampled steps).
+:func:`metrics_row` writes the rows of :data:`METRICS_HEADER` and
+:func:`read_metrics` reads them back.  No raster dependencies: the chart is
+plain SVG text, so identical input produces byte-identical output and diffs
+stay readable.  Three series are drawn against the step axis: the
+classification term, the weighted alignment term (both on the left loss
+axis) and the validation accuracy (right axis, 0..1, drawn only at sampled
+steps).
 """
 
 from __future__ import annotations
@@ -21,6 +23,20 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 70, 40, 50
 
 class PlotError(Exception):
     pass
+
+
+def metrics_row(record, train) -> str:
+    """One ``metrics.csv`` line (no newline) for a training step's record;
+    ``train`` supplies the ``lam`` and ``gamma`` weights of the logged terms.
+    Floats are written with ``repr``, so they read back exactly."""
+    p = record.parts
+    values = (p.total, p.cls, train.lam * p.align, train.gamma * p.k_reg, p.k, record.src_acc)
+    return ",".join([
+        str(record.step),
+        *(repr(float(v)) for v in values),
+        "" if record.val_acc is None else repr(float(record.val_acc)),
+        "" if record.wall_ms is None else f"{record.wall_ms:.3f}",
+    ])
 
 
 def read_metrics(path) -> list[dict]:

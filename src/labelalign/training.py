@@ -13,6 +13,15 @@ the bottom filter the trailing spectrum of the target features; the alignment
 term, smallest at a uniform softmax, drives ``g`` to no class preference
 there, suppressing directions carrying no label variation.
 
+Imani et al.'s linear method (arXiv 2211.14960), which this generalises,
+penalises a regressor's bias-free ``||bottom(phi_t) @ w||^2``.  Here the head
+is a classifier with a bias and a softmax, and a penalty on class
+probabilities stays at most 1 per row whatever the scale of the features or
+the head, so ``lam`` alone sets its weight against the cross-entropy; the
+price is a weak gradient near a uniform softmax.  :mod:`.linearlab` runs
+``spectral_filter`` with hard 0/1 gates, so its identity suite verifies the
+filter's sides and split, not this objective (softmax, bias, soft gate).
+
 Modes:
 
 * ``dla``        the full objective above.

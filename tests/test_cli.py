@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from labelalign import cli
 from labelalign.autodiff import HEAP_TUNED
 from labelalign.checkpoint import MAGIC, VERSION
 from labelalign.cli import (
@@ -23,6 +24,7 @@ from labelalign.cli import (
 )
 from labelalign.config import load_run_config
 from labelalign.model import DEFAULT_SPEC
+from labelalign.plotting import read_metrics
 from labelalign.training import evaluate, train
 
 TINY = """\
@@ -76,6 +78,21 @@ def test_train_then_eval_matches_evaluate(tmp_path, tiny_config, capsys, monkeyp
     data = build_datasets(cfg)
     result = train(cfg.train, data, DEFAULT_SPEC)
     assert printed == f"{100 * evaluate(result.params, DEFAULT_SPEC, data.test):.2f}"
+    # every row train wrote reads back as its step's record
+    assert read_metrics(out / "metrics.csv") == [
+        {
+            "step": r.step,
+            "total": r.parts.total,
+            "cls": r.parts.cls,
+            "align": cfg.train.lam * r.parts.align,
+            "k_reg": cfg.train.gamma * r.parts.k_reg,
+            "k": r.parts.k,
+            "src_acc": r.src_acc,
+            "val_acc": r.val_acc,
+            "wall_ms": None,
+        }
+        for r in result.records
+    ]
 
 
 def checkout_head(root):
@@ -129,6 +146,13 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
         config.write_text(bad)
         assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
+
+    config = tmp_path / "no_files.ini"
+    config.write_text(f"[data]\ndataset = mnist-usps\ndir = {tmp_path / 'nothing'}\n")
+    assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "dataset files not found" in err
+    assert all(name in err for name in ("train-images", "train-labels", "usps.bz2", "usps.t.bz2"))
 
     missing = tmp_path / "none.ckpt"
     assert main(["eval", "--checkpoint", str(missing)]) == EXIT_VALIDATION
@@ -255,6 +279,30 @@ def test_train_then_eval_on_mnist_usps_files(tmp_path, capsys):
     assert [len(data.source), len(data.target), len(data.val), len(data.test)] == [32, 24, 10, 10]
     result = train(cfg.train, data, DEFAULT_SPEC)
     assert printed == f"{100 * evaluate(result.params, DEFAULT_SPEC, data.test):.2f}"
+
+
+def test_eval_reads_only_the_domain_it_scores(tmp_path, capsys, monkeypatch):
+    config = write_data_files(tmp_path)
+    mnist = tmp_path / "mnist"
+    for name in ("images-idx3", "labels-idx1"):
+        shutil.copy(mnist / f"train-{name}-ubyte.gz", mnist / f"t10k-{name}-ubyte.gz")
+    checkpoint = tmp_path / "run" / "checkpoint.ckpt"
+    assert run_train(config, tmp_path / "run") == EXIT_OK
+    for dataset, other_domain in [
+        ("target-test", "load_mnist"),
+        ("target-val", "load_mnist"),
+        ("source-test", "load_usps"),
+        ("source-train", "load_usps"),
+    ]:
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", dataset]) == EXIT_OK
+        printed = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cli, other_domain, lambda *a, **k: pytest.fail(f"{dataset} read {other_domain}")
+            )
+            assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", dataset]) == EXIT_OK
+        assert capsys.readouterr().out == printed
 
 
 def test_truncated_compressed_data_file_exits_1_naming_it(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from labelalign import linearlab
 from labelalign.linearlab import (
     FORMS,
     LinearLabError,
@@ -20,21 +21,21 @@ from conftest import rel_err
 
 
 def test_full_rank_alignment_leaves_no_zero_constraint():
-    p = gen_synthetic(20, 6, k_star=6, k_tilde_star=6, seed=0)
-    yu = p.u.T @ p.y
+    p = gen_synthetic(20, 6, k_star=6, seed=0)
+    yu = p.source.u.T @ p.y
     assert (np.abs(yu) > 1e-3).all()
 
 
 def test_rank_one_alignment():
-    p = gen_synthetic(20, 6, k_star=1, k_tilde_star=1, seed=1)
-    yu = p.u.T @ p.y
+    p = gen_synthetic(20, 6, k_star=1, seed=1)
+    yu = p.source.u.T @ p.y
     assert abs(yu[0]) > 0.1
     assert np.abs(yu[1:]).max() <= 1e-10
 
 
 def test_generation_is_deterministic():
-    a = gen_synthetic(16, 5, 2, 3, noise=0.1, seed=42)
-    b = gen_synthetic(16, 5, 2, 3, noise=0.1, seed=42)
+    a = gen_synthetic(16, 5, 2, noise=0.1, seed=42)
+    b = gen_synthetic(16, 5, 2, noise=0.1, seed=42)
     np.testing.assert_array_equal(a.phi, b.phi)
     np.testing.assert_array_equal(a.y, b.y)
     np.testing.assert_array_equal(a.phi_tilde, b.phi_tilde)
@@ -42,22 +43,23 @@ def test_generation_is_deterministic():
 
 def test_generation_validates_ranks():
     with pytest.raises(LinearLabError):
-        gen_synthetic(10, 4, k_star=5, k_tilde_star=2)
+        gen_synthetic(10, 4, k_star=5)
     with pytest.raises(LinearLabError):
-        gen_synthetic(10, 4, k_star=0, k_tilde_star=2)
+        gen_synthetic(10, 4, k_star=0)
     with pytest.raises(LinearLabError):
-        gen_synthetic(4, 10, k_star=2, k_tilde_star=2)
+        gen_synthetic(4, 10, k_star=2)
     for noise in (-0.1, float("nan"), float("inf")):
         with pytest.raises(LinearLabError, match="noise must be finite and nonnegative"):
-            gen_synthetic(10, 4, 2, 2, noise=noise)
+            gen_synthetic(10, 4, 2, noise=noise)
 
 
 def test_factors_are_a_valid_svd():
-    p = gen_synthetic(32, 8, 3, 3, seed=5)
-    assert np.abs(p.u.T @ p.u - np.eye(8)).max() < 1e-12
-    assert np.abs(p.v.T @ p.v - np.eye(8)).max() < 1e-12
-    assert (np.diff(p.sigma) < 0).all() and (p.sigma > 0).all()
-    np.testing.assert_allclose((p.u * p.sigma) @ p.v.T, p.phi, atol=1e-12)
+    p = gen_synthetic(32, 8, 3, seed=5)
+    for f, phi in ((p.source, p.phi), (p.target, p.phi_tilde)):
+        assert np.abs(f.u.T @ f.u - np.eye(8)).max() < 1e-12
+        assert np.abs(f.v.T @ f.v - np.eye(8)).max() < 1e-12
+        assert (np.diff(f.sigma) < 0).all() and (f.sigma > 0).all()
+        np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, phi, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +68,14 @@ def test_factors_are_a_valid_svd():
 
 
 def test_zero_weights_values():
-    p = gen_synthetic(24, 6, 2, 2, seed=2)
+    p = gen_synthetic(24, 6, 2, seed=2)
     w = np.zeros(6)
     assert abs(linear_objective(p, w, 2, "full") - float(p.y @ p.y)) < 1e-12
     assert linear_objective(p, w, 2, "matrix_bottom") == 0.0
 
 
 def test_unknown_form_rejected():
-    p = gen_synthetic(12, 4, 2, 2)
+    p = gen_synthetic(12, 4, 2)
     with pytest.raises(LinearLabError, match="unknown objective form"):
         linear_objective(p, np.zeros(4), 2, "eq1")
     with pytest.raises(LinearLabError, match="k must lie"):
@@ -81,7 +83,7 @@ def test_unknown_form_rejected():
 
 
 def test_full_equals_decomposed_under_exact_alignment():
-    p = gen_synthetic(40, 10, k_star=4, k_tilde_star=4, noise=0.0, seed=3)
+    p = gen_synthetic(40, 10, k_star=4, noise=0.0, seed=3)
     rng = np.random.default_rng(3)
     for _ in range(100):
         w = rng.standard_normal(10)
@@ -91,7 +93,7 @@ def test_full_equals_decomposed_under_exact_alignment():
 
 
 def test_uda_equals_combined_under_exact_alignment():
-    p = gen_synthetic(40, 10, k_star=4, k_tilde_star=4, noise=0.0, seed=4)
+    p = gen_synthetic(40, 10, k_star=4, noise=0.0, seed=4)
     rng = np.random.default_rng(4)
     for _ in range(100):
         w = rng.standard_normal(10)
@@ -101,17 +103,21 @@ def test_uda_equals_combined_under_exact_alignment():
 
 
 def test_matrix_forms_match_sums():
-    p = gen_synthetic(32, 8, k_star=3, k_tilde_star=3, noise=0.0, seed=5)
+    p = gen_synthetic(32, 8, k_star=3, noise=0.0, seed=5)
+    src, tgt = p.source, p.target
+    yu = src.u.T @ p.y
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        w = rng.standard_normal(8)
-        wv = p.v.T @ w
-        yu = p.u.T @ p.y
-        top_sum = float(np.sum((p.sigma[:3] * wv[:3] - yu[:3]) ** 2))
-        wvt = p.v_tilde.T @ w
-        bottom_sum = float(np.sum((p.sigma_tilde[3:] * wvt[3:]) ** 2))
-        assert rel_err(top_sum, linear_objective(p, w, 3, "matrix_top")) <= 1e-8
-        assert rel_err(bottom_sum, linear_objective(p, w, 3, "matrix_bottom")) <= 1e-8
+    # k = 0 and k = d are the all-zero and all-one hard gates
+    for k in (0, 3, 8):
+        for _ in range(50):
+            w = rng.standard_normal(8)
+            wv = src.v.T @ w
+            # y lies in span(u): the top filter drops exactly its mass past k
+            top_sum = float(np.sum((src.sigma[:k] * wv[:k] - yu[:k]) ** 2) + np.sum(yu[k:] ** 2))
+            wvt = tgt.v.T @ w
+            bottom_sum = float(np.sum((tgt.sigma[k:] * wvt[k:]) ** 2))
+            assert rel_err(top_sum, linear_objective(p, w, k, "matrix_top")) <= 1e-8
+            assert rel_err(bottom_sum, linear_objective(p, w, k, "matrix_bottom")) <= 1e-8
 
 
 def test_alignment_probe_grows_with_noise():
@@ -120,7 +126,7 @@ def test_alignment_probe_grows_with_noise():
     for noise in noises:
         vals = []
         for seed in range(50):
-            p = gen_synthetic(32, 8, 3, 3, noise=noise, seed=seed)
+            p = gen_synthetic(32, 8, 3, noise=noise, seed=seed)
             vals.append(alignment_residual(p))
         means.append(np.mean(vals))
     assert means[0] <= 1e-10
@@ -133,7 +139,7 @@ def test_alignment_probe_grows_with_noise():
 
 
 def test_zero_labels_keep_zero_weights():
-    p = gen_synthetic(16, 4, 2, 2, seed=6)
+    p = gen_synthetic(16, 4, 2, seed=6)
     p.y[:] = 0.0
     w, report = solve_linear_uda(p, 2, alpha=0.05)
     assert np.linalg.norm(w) <= 1e-6
@@ -141,7 +147,7 @@ def test_zero_labels_keep_zero_weights():
 
 
 def test_converged_run_satisfies_first_order_optimality():
-    p = gen_synthetic(48, 12, 5, 5, seed=7)
+    p = gen_synthetic(48, 12, 5, seed=7)
     w, report = solve_linear_uda(p, 5, alpha=0.05, max_iters=50000)
     assert report.converged
     assert report.grad_norm <= 1e-6
@@ -157,7 +163,7 @@ def test_converged_run_satisfies_first_order_optimality():
 
 def test_solver_matches_random_restart_search():
     scipy_opt = pytest.importorskip("scipy.optimize")
-    p = gen_synthetic(12, 4, 2, 2, seed=8)
+    p = gen_synthetic(12, 4, 2, seed=8)
     w, report = solve_linear_uda(p, 2, alpha=0.05, max_iters=50000)
     rng = np.random.default_rng(8)
     best = np.inf
@@ -174,13 +180,13 @@ def test_solver_matches_random_restart_search():
 
 
 def test_divergence_reports_step_size():
-    p = gen_synthetic(16, 4, 2, 2, seed=9)
+    p = gen_synthetic(16, 4, 2, seed=9)
     with pytest.raises(LinearLabError, match="step size 10.0"):
         solve_linear_uda(p, 2, alpha=10.0)
 
 
 def test_solver_validates_step_size():
-    p = gen_synthetic(16, 4, 2, 2, seed=10)
+    p = gen_synthetic(16, 4, 2, seed=10)
     with pytest.raises(LinearLabError):
         solve_linear_uda(p, 2, alpha=0.0)
 
@@ -208,6 +214,17 @@ def test_identity_suite_noise_mode_uses_bounds():
     rows = identity_suite(sizes=((32, 8),), k_star=3, seeds=5, noise=0.1, draws=20)
     assert all(r.ok for r in rows)
     assert any("~" in r.pair for r in rows)
+
+
+def test_identity_suite_catches_a_filter_with_swapped_sides(monkeypatch):
+    swap = {"top": "bottom", "bottom": "top"}
+    real = linearlab.spectral_filter
+    monkeypatch.setattr(
+        linearlab, "spectral_filter", lambda phi, w, side, *rest: real(phi, w, swap[side], *rest)
+    )
+    rows = identity_suite(sizes=((32, 8),), k_star=3, seeds=3, draws=5)
+    assert {r.pair for r in rows if not r.ok} == {"top-sum=matrix_top", "trail-sum=matrix_bottom"}
+    assert min(r.residual for r in rows if not r.ok) > 0.1
 
 
 def test_identity_suite_rejects_wide_problems():
