@@ -20,7 +20,8 @@ spans of at least a batch of contiguous values; kernels are OIHW.  A
 convolution builds its im2col columns one block of output rows at a time,
 each block sized (``COLUMN_BLOCK_BYTES``) to be read by its GEMM from L2
 rather than from memory, and its tape keeps the padded input, not the
-columns.
+columns.  Its backward walks the same blocks: the kernel gradient builds
+them again, and the input gradient takes one GEMM per block of gradient rows.
 
 On import, glibc is asked to keep freed arrays in the process: a tape frees
 tens of MB per training step that the next step allocates again, and handing
@@ -320,10 +321,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     column matrix of tens of MB out to memory and back.  Each GEMM writes its
     own columns of the output, so every output is the same length-``kh*kw*c``
     dot product as in one GEMM over all columns.  The tape keeps the padded
-    input, not the columns; the kernel gradient builds the same blocks again
-    and adds up one ``(o, kh*kw*c)`` GEMM per block.
-    The input gradient takes one GEMM per kernel tap, each added into the
-    padded input over runs of ``wo*b`` values.
+    input, not the columns; the kernel gradient builds the same blocks again,
+    top to bottom, and adds up one ``(kh*kw*c, o)`` GEMM per block, transposed
+    once at the end.
+
+    The input gradient walks the same row blocks: one ``(kh*kw*c, o)`` GEMM
+    turns a block of the output gradient, read once from L2, into its column
+    gradients in a reused buffer no larger than a column block, and ``kh*kw``
+    strided adds move them into the padded input over runs of ``wo*b``
+    values.  The blocks go bottom to top, so every padded position adds its
+    taps in ascending ``(i, j)`` order whatever the block size.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     kernel = kernel if isinstance(kernel, Tensor) else Tensor(kernel)
@@ -376,18 +383,23 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     def backward(out):
         g = out.grad.reshape(o, ho * span)
         if kernel.requires_grad:
-            dk = np.zeros((o, taps), dtype=kernel.data.dtype)
+            dkt = np.zeros((taps, o), dtype=kernel.data.dtype)
             for cols, block in column_blocks():
-                dk += g[cols] @ block.T
-            _accumulate(kernel, dk.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+                dkt += block @ g[cols].T
+            _accumulate(kernel, dkt.T.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
         if x.requires_grad:
             dxp = np.zeros((c, hp, wp, b), dtype=x.data.dtype)
-            dtap = np.empty((c, ho * span), dtype=x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    tap = (i * kw + j) * c  # this tap's (o, c) block of kmat
-                    np.matmul(kmat[:, tap : tap + c].T, g, out=dtap)
-                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dtap.reshape(c, ho, wo, b)
+            buf = np.empty(taps * rows * span, dtype=x.data.dtype)
+            # bottom-up: a padded row gets its taps in ascending (i, j) order
+            for r in range(rows * ((ho - 1) // rows), -1, -rows):
+                n = min(rows, ho - r)
+                dcols = buf[: taps * n * span].reshape(taps, n * span)
+                np.matmul(kmat.T, g[:, r * span : (r + n) * span], out=dcols)
+                dcols = dcols.reshape(kh, kw, c, n, wo, b)
+                top = stride * r
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp[:, top + i : top + i + stride * n : stride, j : j + stride * wo : stride] += dcols[i, j]
             _accumulate(x, dxp[:, padding : padding + h, padding : padding + w])
 
     return _make(out_data.reshape(o, ho, wo, b), (x, kernel), backward)

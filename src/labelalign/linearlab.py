@@ -117,6 +117,11 @@ def _hard_filter(phi: np.ndarray, k: int, side: str) -> np.ndarray:
     return spectral_filter(Tensor(phi), gate, side).data
 
 
+def _squared_residual(filtered: np.ndarray, w: np.ndarray, y) -> float:
+    """``||filtered @ w - y||^2``: a matrix form from its hard-filtered matrix."""
+    return float(np.sum((filtered @ w - y) ** 2))
+
+
 def linear_objective(problem: LinearProblem, w: np.ndarray, k: int, form: str) -> float:
     """Evaluate one objective form at 64-bit.
 
@@ -138,9 +143,9 @@ def linear_objective(problem: LinearProblem, w: np.ndarray, k: int, form: str) -
     if form == "full":
         return float(np.sum((problem.phi @ w - problem.y) ** 2))
     if form == "matrix_top":
-        return float(np.sum((_hard_filter(problem.phi, k, "top") @ w - problem.y) ** 2))
+        return _squared_residual(_hard_filter(problem.phi, k, "top"), w, problem.y)
     if form == "matrix_bottom":
-        return float(np.sum((_hard_filter(problem.phi_tilde, k, "bottom") @ w) ** 2))
+        return _squared_residual(_hard_filter(problem.phi_tilde, k, "bottom"), w, 0.0)
     fit_top, trail_src, trail_tgt, _ = _terms(problem, w, k)
     if form == "decomposed":
         return fit_top + trail_src
@@ -250,9 +255,12 @@ def identity_suite(
 ) -> list[ResidualRow]:
     """Check every identity pair on random weights across sizes and seeds.
 
-    With noise the exact identities no longer hold; the full/decomposed pair
-    is then checked against the bound implied by the dropped alignment mass
-    (everything else stays exact), and rows report that bound instead.
+    With noise the exact identities no longer hold; the full/decomposed and
+    uda/combined pairs are then checked against the bound implied by the
+    dropped alignment mass, and rows report that bound instead.  The top
+    filter drops exactly that mass, so ``matrix_top`` is checked against the
+    top sum plus it; the bottom pair stays exact.  Each problem's two hard
+    filters are built once and shared by all its draws.
     """
     if seeds < 1:
         raise LinearLabError(f"the suite needs seeds >= 1, got {seeds}")
@@ -261,6 +269,8 @@ def identity_suite(
         k = min(k_star, d)
         for seed in range(seeds):
             problem = gen_synthetic(n, d, k, noise=noise, seed=seed)
+            top = _hard_filter(problem.phi, k, "top")
+            bottom = _hard_filter(problem.phi_tilde, k, "bottom")
             rng = np.random.Generator(np.random.PCG64(seed + 7919))
             worst: dict[str, tuple[float, float]] = {}
             for _ in range(draws):
@@ -269,8 +279,8 @@ def identity_suite(
                 dec = linear_objective(problem, w, k, "decomposed")
                 uda = linear_objective(problem, w, k, "uda")
                 comb = linear_objective(problem, w, k, "combined")
-                mt = linear_objective(problem, w, k, "matrix_top")
-                mb = linear_objective(problem, w, k, "matrix_bottom")
+                mt = _squared_residual(top, w, problem.y)
+                mb = _squared_residual(bottom, w, 0.0)
                 fit_top, trail_src, trail_tgt, yu = _terms(problem, w, k)
                 if noise == 0.0:
                     checks = {
@@ -285,10 +295,12 @@ def identity_suite(
                     dropped = dropped_mid + float(np.sum(perp**2))
                     bound = dropped + 2.0 * np.sqrt(trail_src * dropped_mid) + 1e-8
                     # uda - combined carries exactly the same dropped mass as
-                    # full - decomposed, so both get the bounded-residual check
+                    # full - decomposed, so both get the bounded-residual check;
+                    # the top filter drops exactly ||y - U_k U_k^T y||^2
                     checks = {
                         "full~decomposed": (abs(full - dec), bound),
                         "uda~combined": (abs(uda - comb), bound),
+                        "top-sum+dropped=matrix_top": (_relative(fit_top + dropped, mt), tol),
                         "trail-sum=matrix_bottom": (_relative(trail_tgt, mb), tol),
                     }
                 for pair, (res, bnd) in checks.items():

@@ -365,6 +365,59 @@ def test_blocked_conv2d_matches_the_einsum_reference(monkeypatch, stride, paddin
     assert rel_err(out.data, einsum_conv(x, k, stride, padding)) < 1e-12
 
 
+def einsum_conv_grads(x, k, g, stride, padding):
+    """The float64 reference gradients of ``sum(g * conv2d(x, k))``: ``(dx,
+    dk)`` from two NCHW einsums per kernel tap."""
+    xp = np.pad(x.transpose(3, 0, 1, 2), ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+    gn = g.transpose(3, 0, 1, 2)
+    kh, kw = k.shape[2:]
+    ho, wo = g.shape[1:3]
+    dxp, dk = np.zeros_like(xp), np.zeros_like(k)
+    for i in range(kh):
+        for j in range(kw):
+            patch = np.s_[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            dk[:, :, i, j] = np.einsum("nohw,nchw->oc", gn, xp[patch])
+            dxp[patch] += np.einsum("nohw,oc->nchw", gn, k[:, :, i, j])
+    h, w = x.shape[1:3]
+    return dxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 2, 3, 0), dk
+
+
+@pytest.mark.parametrize("stride, padding, rows", BLOCK_CASES)
+def test_blocked_conv2d_gradients_match_the_einsum_reference(monkeypatch, stride, padding, rows):
+    x_shape, k_shape = (2, 15, 9, 3), (3, 2, 3, 2)
+    assert use_column_blocks(monkeypatch, x_shape, k_shape, stride, padding, rows) >= 4
+    rng = np.random.default_rng(rows + 10)
+    x, k = t64(rng.standard_normal(x_shape)), t64(rng.standard_normal(k_shape))
+    out = ad.conv2d(x, k, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape)
+    backward(ad.tsum(ad.mul(out, t64(g, grad=False))))
+    dx, dk = einsum_conv_grads(x.data, k.data, g, stride, padding)
+    assert rel_err(x.grad, dx) < 1e-12
+    assert rel_err(k.grad, dk) < 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_conv2d_input_gradient_adds_taps_in_kernel_order(monkeypatch, rows):
+    # one output channel and a +-power-of-two kernel make every GEMM product
+    # exact, whatever the BLAS; gradients from 1e-8 to 1e8 then make each
+    # padded position's sum depend on the order its taps are added in
+    x_shape, k_shape, padding = (2, 13, 5, 3), (1, 2, 3, 3), 1
+    assert use_column_blocks(monkeypatch, x_shape, k_shape, 1, padding, rows) >= 4
+    rng = np.random.default_rng(rows)
+    k = rng.choice([-1.0, 1.0], k_shape) * 2.0 ** rng.integers(-3, 4, k_shape)
+    x = t64(np.zeros(x_shape))
+    out = ad.conv2d(x, t64(k, grad=False), padding=padding)
+    g = rng.standard_normal(out.shape) * 10.0 ** rng.uniform(-8, 8, out.shape)
+    backward(ad.tsum(ad.mul(out, t64(g, grad=False))))
+    c, h, w, _ = x_shape
+    ho, wo = out.shape[1:3]
+    expected = np.zeros((c, h + 2 * padding, w + 2 * padding, x_shape[3]))
+    for i in range(3):
+        for j in range(3):
+            expected[:, i : i + ho, j : j + wo] += k[0, :, i, j, None, None, None] * g[0]
+    np.testing.assert_array_equal(x.grad, expected[:, padding : padding + h, padding : padding + w])
+
+
 @pytest.mark.parametrize("stride, padding, rows", BLOCK_CASES[:4])
 def test_fd_blocked_conv2d(monkeypatch, stride, padding, rows):
     x_shape, k_shape = (1, 15, 5, 2), (2, 1, 3, 2)
@@ -393,6 +446,25 @@ def test_conv2d_tape_holds_less_than_a_column_matrix():
         tracemalloc.stop()
     assert out.requires_grad and out.data.nbytes == 32 * 14 * 14 * 128 * 4
     assert held - before < columns
+    assert peak - before < columns
+
+
+def test_conv2d_backward_peaks_below_a_column_matrix():
+    # the same conv1: both gradients are built one column block at a time
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((16, 14, 14, 128), dtype=np.float32), requires_grad=True)
+    k = Tensor(rng.standard_normal((32, 16, 3, 3), dtype=np.float32), requires_grad=True)
+    g = Tensor(rng.standard_normal((32, 14, 14, 128), dtype=np.float32))
+    loss = ad.tsum(ad.mul(ad.conv2d(x, k, padding=1), g))
+    columns = 3 * 3 * 16 * 14 * 14 * 128 * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape and k.grad.shape == k.shape
     assert peak - before < columns
 
 

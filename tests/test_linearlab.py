@@ -214,6 +214,9 @@ def test_identity_suite_noise_mode_uses_bounds():
     rows = identity_suite(sizes=((32, 8),), k_star=3, seeds=5, noise=0.1, draws=20)
     assert all(r.ok for r in rows)
     assert any("~" in r.pair for r in rows)
+    # the top filter drops exactly the noise mass, so its pair stays exact
+    top = [r.residual for r in rows if r.pair == "top-sum+dropped=matrix_top"]
+    assert len(top) == 5 and max(top) <= 1e-8
 
 
 def test_identity_suite_catches_a_filter_with_swapped_sides(monkeypatch):
@@ -222,9 +225,11 @@ def test_identity_suite_catches_a_filter_with_swapped_sides(monkeypatch):
     monkeypatch.setattr(
         linearlab, "spectral_filter", lambda phi, w, side, *rest: real(phi, w, swap[side], *rest)
     )
-    rows = identity_suite(sizes=((32, 8),), k_star=3, seeds=3, draws=5)
-    assert {r.pair for r in rows if not r.ok} == {"top-sum=matrix_top", "trail-sum=matrix_bottom"}
-    assert min(r.residual for r in rows if not r.ok) > 0.1
+    top_pair = {0.0: "top-sum=matrix_top", 0.05: "top-sum+dropped=matrix_top"}
+    for noise, top in top_pair.items():
+        rows = identity_suite(sizes=((32, 8),), k_star=3, seeds=3, noise=noise, draws=5)
+        assert {r.pair for r in rows if not r.ok} == {top, "trail-sum=matrix_bottom"}
+        assert min(r.residual for r in rows if not r.ok) > 0.1
 
 
 def test_identity_suite_rejects_wide_problems():
