@@ -14,7 +14,7 @@ from .autodiff import Tensor, backward
 from .data import ImageDataset, load_mnist, load_usps, make_synthetic, split_target
 from .linearlab import gen_synthetic, identity_suite, linear_objective, solve_linear_uda
 from .model import DEFAULT_SPEC, ModelSpec, build_model
-from .optim import Adam, ParameterSet
+from .optim import Adam
 from .spectral import SvdFactors, gate_weights, spectral_filter, thin_svd
 from .training import DlaLossParts, TrainConfig, TrainData, dla_loss, evaluate, train
 
@@ -34,7 +34,6 @@ __all__ = [
     "ModelSpec",
     "build_model",
     "Adam",
-    "ParameterSet",
     "SvdFactors",
     "gate_weights",
     "spectral_filter",

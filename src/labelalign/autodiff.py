@@ -60,10 +60,8 @@ class AutodiffError(Exception):
     """Raised for malformed graphs or operand mismatches."""
 
 
-def _coerce(data, dtype=None) -> np.ndarray:
+def _coerce(data) -> np.ndarray:
     arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
     if arr.dtype not in _FLOAT_DTYPES:
         return arr.astype(np.float64)
     return arr
@@ -72,8 +70,8 @@ def _coerce(data, dtype=None) -> np.ndarray:
 class Tensor:
     """A dense array plus the bookkeeping needed for backpropagation."""
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _coerce(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _coerce(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .optim import ParameterSet
 
 MAGIC = b"LALIGNCK"
 VERSION = 1
@@ -40,7 +39,7 @@ class CheckpointError(Exception):
     pass
 
 
-def save_checkpoint(path, params: ParameterSet, config_echo: dict[str, str]):
+def save_checkpoint(path, params: dict[str, Tensor], config_echo: dict[str, str]):
     entries = []
     blobs = []
     offset = 0
@@ -127,12 +126,12 @@ def _read_param(entry, blobs: memoryview) -> tuple[str, np.ndarray]:
     return name, np.frombuffer(blobs, dtype, count, offset).reshape(shape).copy()
 
 
-def restore_params(arrays: dict[str, np.ndarray], expected_shapes: dict[str, tuple]) -> ParameterSet:
-    """Build a ParameterSet from checkpoint arrays, validating the layout."""
+def restore_params(arrays: dict[str, np.ndarray], expected_shapes: dict[str, tuple]) -> dict[str, Tensor]:
+    """Build the parameters from checkpoint arrays, validating the layout."""
     missing = set(expected_shapes) - set(arrays)
     if missing:
         raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)}")
-    params = ParameterSet()
+    params = {}
     for name, shape in expected_shapes.items():
         arr = arrays[name]
         if tuple(arr.shape) != tuple(shape):
@@ -140,5 +139,5 @@ def restore_params(arrays: dict[str, np.ndarray], expected_shapes: dict[str, tup
                 f"shape mismatch for '{name}': checkpoint has {tuple(arr.shape)}, "
                 f"model expects {tuple(shape)}"
             )
-        params.add(name, Tensor(arr, requires_grad=True))
+        params[name] = Tensor(arr, requires_grad=True)
     return params

@@ -28,7 +28,6 @@ from .data import (
     load_usps,
     make_synthetic,
     split_target,
-    standardize,
 )
 from .linearlab import LinearLabError, identity_suite
 from .model import DEFAULT_SPEC
@@ -88,11 +87,9 @@ def source_dataset(cfg: RunConfig, split: str = "train") -> ImageDataset:
     if data["dataset"] == "synthetic":
         if split != "train":
             raise ConfigError("synthetic runs have no separate source test set")
-        ds = make_synthetic(data["synthetic_source_size"], int(_split_seeds(cfg)[0]), split="train")
-    else:
-        images, labels = _data_files(cfg, f"mnist_{split}_images", f"mnist_{split}_labels")
-        ds = load_mnist(images, labels, split=split)
-    return standardize(ds) if data["standardize"] else ds
+        return make_synthetic(data["synthetic_source_size"], int(_split_seeds(cfg)[0]), split="train")
+    images, labels = _data_files(cfg, f"mnist_{split}_images", f"mnist_{split}_labels")
+    return load_mnist(images, labels, split=split)
 
 
 def target_datasets(cfg: RunConfig) -> tuple[ImageDataset, ImageDataset, ImageDataset]:
@@ -109,14 +106,11 @@ def target_datasets(cfg: RunConfig) -> tuple[ImageDataset, ImageDataset, ImageDa
         test = make_synthetic(
             data["synthetic_test_size"], int(seeds[3]), domain_shift=0.35, split="test"
         )
-    else:
-        train_path, test_path = _data_files(cfg, "usps_train", "usps_test")
-        usps_train = load_usps(train_path, split="train")
-        usps_test = load_usps(test_path, split="test")
-        target, val, test = split_target(usps_train, usps_test, seed=data["split_seed"])
-    if data["standardize"]:
-        target, val, test = standardize(target), standardize(val), standardize(test)
-    return target, val, test
+        return target, val, test
+    train_path, test_path = _data_files(cfg, "usps_train", "usps_test")
+    usps_train = load_usps(train_path, split="train")
+    usps_test = load_usps(test_path, split="test")
+    return split_target(usps_train, usps_test, seed=data["split_seed"])
 
 
 def build_datasets(cfg: RunConfig) -> TrainData:
@@ -128,20 +122,12 @@ def build_datasets(cfg: RunConfig) -> TrainData:
 
 
 def _eval_dataset(cfg: RunConfig, name: str) -> ImageDataset:
-    """The one dataset ``eval`` scores; only its own domain's files are read."""
-    aliases = {
-        "usps-test": "target-test",
-        "usps-val": "target-val",
-        "mnist-test": "source-test",
-        "mnist-train": "source-train",
-    }
-    name = aliases.get(name, name)
+    """The one dataset ``eval`` scores, by its ``--dataset`` choice; only its
+    own domain's files are read."""
     if name in ("source-train", "source-test"):
         return source_dataset(cfg, name.removeprefix("source-"))
-    if name in ("target-val", "target-test"):
-        _, val, test = target_datasets(cfg)
-        return val if name == "target-val" else test
-    raise ConfigError(f"unknown evaluation dataset '{name}'")
+    _, val, test = target_datasets(cfg)
+    return val if name == "target-val" else test
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +179,15 @@ def cmd_train(args) -> int:
     print(f"     config sha256 {cfg.content_hash()}")
 
     metrics_path = out_dir / "metrics.csv"
-    every = cfg.output["metrics_every"]
-    ckpt_every = cfg.output["checkpoint_every"]
-    flat = cfg.to_flat()
-
     with open(metrics_path, "w", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
 
         def on_step(record, params):
-            if record.step % every == 0:
-                fh.write(metrics_row(record, cfg.train) + "\n")
-            if ckpt_every and record.step % ckpt_every == 0:
-                save_checkpoint(
-                    out_dir / f"checkpoint_step{record.step}.ckpt", params, flat
-                )
+            fh.write(metrics_row(record, cfg.train) + "\n")
 
         result = train(cfg.train, data, DEFAULT_SPEC, on_step=on_step)
 
-    save_checkpoint(out_dir / "checkpoint.ckpt", result.params, flat)
+    save_checkpoint(out_dir / "checkpoint.ckpt", result.params, cfg.to_flat())
     final_val = [r.val_acc for r in result.records if r.val_acc is not None]
     if final_val:
         print(f"final validation accuracy {100 * final_val[-1]:.2f}")
@@ -303,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--dataset",
         default="target-test",
-        help="target-test (default), target-val, source-test, source-train, "
-        "or the usps-*/mnist-* aliases",
+        choices=("target-test", "target-val", "source-test", "source-train"),
+        help="the set to score (default target-test)",
     )
     p_eval.add_argument("--data-dir", help="override the checkpoint's data directory")
     p_eval.set_defaults(func=cmd_eval)

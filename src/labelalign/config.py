@@ -56,13 +56,8 @@ _SCHEMA = {
         "synthetic_target_size": ("int", 512),
         "synthetic_val_size": ("int", 256),
         "synthetic_test_size": ("int", 256),
-        "standardize": ("bool", False),
     },
-    "output": {
-        "dir": ("str", "runs/latest"),
-        "metrics_every": ("int", 1),
-        "checkpoint_every": ("int", 0),
-    },
+    "output": {"dir": ("str", "runs/latest")},
 }
 
 _PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
@@ -145,14 +140,6 @@ def parse_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
     for key, low in lows.items():
         if parsed["data"][key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {parsed['data'][key]}")
-    if parsed["output"]["metrics_every"] < 1:
-        raise ConfigError(
-            f"metrics_every must be >= 1, got {parsed['output']['metrics_every']}"
-        )
-    if parsed["output"]["checkpoint_every"] < 0:
-        raise ConfigError(
-            f"checkpoint_every must be >= 0, got {parsed['output']['checkpoint_every']}"
-        )
     return RunConfig(
         train=TrainConfig(**parsed["train"]).validate(),
         data=parsed["data"],

@@ -32,26 +32,18 @@ class DataFormatError(Exception):
 
 @dataclass
 class ImageDataset:
-    """Images (count x 1 x h x w, floats in [0, 1]) with optional labels.
-
-    ``standardized`` marks datasets rescaled to zero mean / unit variance;
-    only then may pixels leave [0, 1].
-    """
+    """Images (count x 1 x h x w, floats in [0, 1]) with optional labels;
+    pixels outside [0, 1], NaN included, are refused."""
 
     images: np.ndarray
     labels: np.ndarray | None
     provenance: str  # mnist | usps | synthetic
     split: str  # train | val | test
-    standardized: bool = False
 
     def __post_init__(self):
         if self.images.ndim != 4:
             raise DataFormatError(f"images must be NCHW, got shape {self.images.shape}")
-        if (
-            not self.standardized
-            and self.images.size
-            and not (self.images.min() >= 0.0 and self.images.max() <= 1.0)  # NaN fails too
-        ):
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise DataFormatError(
                 f"pixel range violated: [{self.images.min():.4g}, {self.images.max():.4g}]"
             )
@@ -470,14 +462,3 @@ def make_synthetic(
     return ImageDataset(
         images=images, labels=labels.astype(np.int64), provenance="synthetic", split=split
     )
-
-
-def standardize(ds: ImageDataset) -> ImageDataset:
-    """Rescale to zero mean and unit variance using the dataset's own stats."""
-    mean = float(ds.images.mean())
-    std = float(ds.images.std())
-    if std == 0.0:
-        std = 1.0
-    images = ((ds.images - mean) / std).astype(np.float32)
-    return replace(ds, images=images, standardized=True)
-

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .optim import ParameterSet
 
 
 class ModelError(Exception):
@@ -81,7 +80,7 @@ def _init_std(shape) -> float:
     return float(np.sqrt(2.0 / fan_in))
 
 
-def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ParameterSet:
+def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> dict[str, Tensor]:
     """Seeded initialization; identical seeds give bitwise-identical weights.
 
     Weight matrices/kernels draw from a zero-mean normal scaled by the He fan-in
@@ -89,7 +88,7 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ParameterSet:
     standard normal.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = ParameterSet()
+    params = {}
     for name, shape in spec.param_shapes().items():
         if name == "k_hat":
             value = rng.standard_normal()
@@ -97,11 +96,11 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> ParameterSet:
             value = np.zeros(shape)
         else:
             value = rng.standard_normal(shape) * _init_std(shape)
-        params.add(name, Tensor(np.asarray(value, dtype=dtype), requires_grad=True))
+        params[name] = Tensor(np.asarray(value, dtype=dtype), requires_grad=True)
     return params
 
 
-def forward_features(params: ParameterSet, spec: ModelSpec, x: Tensor) -> Tensor:
+def forward_features(params: dict[str, Tensor], spec: ModelSpec, x: Tensor) -> Tensor:
     """f: image batch (b, c, h, w) -> feature matrix (b, feature_dim); the
     stages run CHWN, the flatten reads NCHW order (the rows of ``feat_w``)."""
     pad = spec.kernel_size // 2
@@ -114,10 +113,10 @@ def forward_features(params: ParameterSet, spec: ModelSpec, x: Tensor) -> Tensor
     return ad.add(ad.matmul(flat, params["feat_w"]), params["feat_b"])
 
 
-def forward_head(params: ParameterSet, phi: Tensor) -> Tensor:
+def forward_head(params: dict[str, Tensor], phi: Tensor) -> Tensor:
     """g: feature matrix (b, feature_dim) -> class scores (b, classes)."""
     return ad.add(ad.matmul(phi, params["head_w"]), params["head_b"])
 
 
-def forward_scores(params: ParameterSet, spec: ModelSpec, x: Tensor) -> Tensor:
+def forward_scores(params: dict[str, Tensor], spec: ModelSpec, x: Tensor) -> Tensor:
     return forward_head(params, forward_features(params, spec, x))

@@ -1,9 +1,10 @@
-"""Named parameter collections and gradient-based updates.
+"""Gradient-based updates of named parameters.
 
-The update is Adam: bias-corrected first/second moments, decay 0.9/0.999,
-eps 1e-8.  A step consumes the gradients: every registered parameter must
-carry one, and afterwards all gradients are cleared so the next backward
-pass starts fresh.
+Parameters are a plain ``dict[str, Tensor]``.  The update is Adam:
+bias-corrected first/second moments, decay 0.9/0.999, eps 1e-8.  A step
+consumes the gradients: every parameter it is given must carry one, and
+afterwards all their gradients are cleared so the next backward pass starts
+fresh.
 """
 
 from __future__ import annotations
@@ -15,58 +16,6 @@ from .autodiff import Tensor
 
 class OptimizerError(Exception):
     pass
-
-
-class ParameterSet:
-    """Ordered, uniquely named collection of trainable tensors."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._params:
-            raise OptimizerError(f"duplicate parameter name '{name}'")
-        if not tensor.requires_grad:
-            raise OptimizerError(f"parameter '{name}' must require gradients")
-        self._params[name] = tensor
-        return tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
-    def subset(self, names) -> "ParameterSet":
-        """A view over a subset of parameters (tensors are shared)."""
-        out = ParameterSet()
-        for name in names:
-            if name not in self._params:
-                raise OptimizerError(f"unknown parameter '{name}'")
-            out._params[name] = self._params[name]
-        return out
-
-    def clear_grads(self):
-        for t in self._params.values():
-            t.grad = None
-
-
-def _require_grads(params: ParameterSet):
-    for name, t in params.items():
-        if t.grad is None:
-            raise OptimizerError(f"parameter '{name}' has no gradient; run backward first")
 
 
 class Adam:
@@ -81,8 +30,10 @@ class Adam:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def step(self, params: ParameterSet):
-        _require_grads(params)
+    def step(self, params: dict[str, Tensor]):
+        for name, p in params.items():
+            if p.grad is None:
+                raise OptimizerError(f"parameter '{name}' has no gradient; run backward first")
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1**t
@@ -106,4 +57,4 @@ class Adam:
             p.data -= np.asarray(self.alpha, dtype=p.data.dtype) * mhat / (
                 np.sqrt(vhat) + self.eps
             )
-        params.clear_grads()
+            p.grad = None

@@ -47,7 +47,7 @@ from . import spectral
 from .autodiff import Tensor
 from .data import BatchSampler, ImageDataset, next_batch
 from .model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
-from .optim import Adam, ParameterSet
+from .optim import Adam
 from .spectral import GRADIENT_MODES, spectral_filter
 
 MODES = ("dla", "no_adapt", "partial_la")
@@ -139,13 +139,13 @@ class TrainData:
 
 @dataclass
 class TrainResult:
-    params: ParameterSet
+    params: dict[str, Tensor]
     spec: ModelSpec
     records: list[MetricsRecord] = field(default_factory=list)
 
 
 def dla_loss(
-    params: ParameterSet,
+    params: dict[str, Tensor],
     spec: ModelSpec,
     source_images: np.ndarray,
     source_labels: np.ndarray,
@@ -192,9 +192,9 @@ def dla_loss(
     return total_t, parts, probs.data
 
 
-def trainable_names(params: ParameterSet, cfg: TrainConfig) -> list[str]:
+def trainable_names(params: dict[str, Tensor], cfg: TrainConfig) -> list[str]:
     """All weights, plus the gate parameter whenever the filter runs."""
-    names = [n for n in params.names() if n != "k_hat"]
+    names = [n for n in params if n != "k_hat"]
     if cfg.mode != "no_adapt":
         names.append("k_hat")
     return names
@@ -203,7 +203,8 @@ def trainable_names(params: ParameterSet, cfg: TrainConfig) -> list[str]:
 def check_run(cfg: TrainConfig, data: TrainData, spec: ModelSpec = DEFAULT_SPEC):
     """Raise :class:`ConfigError` for a run that cannot start: an invalid
     config, ``dla`` without a target dataset, images of another shape than
-    the model takes, or a batch larger than a dataset the run draws from."""
+    the model takes, a batch larger than a dataset the run draws from, or
+    an empty validation set that ``val_every`` would score."""
     cfg.validate()
     expected = (spec.in_channels, *spec.image_hw)
     for name in ("source", "target", "val", "test"):
@@ -214,6 +215,8 @@ def check_run(cfg: TrainConfig, data: TrainData, spec: ModelSpec = DEFAULT_SPEC)
             )
     if cfg.mode == "dla" and data.target is None:
         raise ConfigError("dla mode needs an unlabeled target dataset")
+    if cfg.val_every and data.val is not None and len(data.val) == 0:
+        raise ConfigError("the val dataset is empty, so val_every must be 0")
     target = data.target if cfg.mode == "dla" else None
     for name, dataset in (("source", data.source), ("target", target)):
         if dataset is not None and cfg.batch_size > len(dataset):
@@ -239,7 +242,7 @@ def train(
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
     params = build_model(spec, int(seeds[0]), dtype=cfg.np_dtype)
     optimizer = Adam(cfg.alpha)
-    trainable = params.subset(trainable_names(params, cfg))
+    trainable = {name: params[name] for name in trainable_names(params, cfg)}
 
     src_sampler = BatchSampler(len(data.source), cfg.batch_size, int(seeds[1]))
     tgt_sampler = None
@@ -280,7 +283,7 @@ def train(
 
 
 def evaluate(
-    params: ParameterSet,
+    params: dict[str, Tensor],
     spec: ModelSpec,
     dataset: ImageDataset,
     batch_size: int = 256,

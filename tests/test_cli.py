@@ -122,17 +122,6 @@ def test_rerun_from_echo_is_bitwise_identical(tmp_path, tiny_config):
     assert len(metrics.splitlines()) == 4  # header plus one row per step
 
 
-def test_metrics_every_and_checkpoint_every(tmp_path, tiny_config):
-    config = tmp_path / "sparse.ini"
-    config.write_text(TINY + "\n[output]\nmetrics_every = 2\ncheckpoint_every = 2\n")
-    out = tmp_path / "run"
-    assert run_train(config, out) == EXIT_OK
-    rows = (out / "metrics.csv").read_text().splitlines()
-    assert [row.split(",")[0] for row in rows[1:]] == ["2"]
-    assert (out / "checkpoint_step2.ckpt").exists()
-    assert not (out / "checkpoint_step3.ckpt").exists()
-
-
 def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
     assert run_train(tmp_path / "missing.ini", tmp_path / "run") == EXIT_VALIDATION
     assert "cannot read config file" in capsys.readouterr().err
@@ -140,7 +129,7 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
     for bad in (
         TINY.replace("steps = 3", "steps = lots"),
         TINY.replace("[train]\n", "[train]\ngate = ones\n"),
-        TINY + "\n[output]\nmetrics_every = 0\n",
+        TINY.replace("synthetic_val_size = 16", "synthetic_val_size = 0"),
     ):
         config = tmp_path / "bad.ini"
         config.write_text(bad)
@@ -156,6 +145,20 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
 
     missing = tmp_path / "none.ckpt"
     assert main(["eval", "--checkpoint", str(missing)]) == EXIT_VALIDATION
+
+    # a checkpoint from before a config key was removed echoes that key
+    stale = tmp_path / "stale.ckpt"
+    stale.write_bytes(hand_built({"config": {"data.standardize": "off"}, "params": []}))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
+    assert "unknown config key 'standardize' in section [data]" in capsys.readouterr().err
+
+
+def test_eval_dataset_outside_the_four_names_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--dataset", "usps-test"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'usps-test'" in capsys.readouterr().err
 
 
 def hand_built(header) -> bytes:
@@ -311,6 +314,15 @@ def test_truncated_compressed_data_file_exits_1_naming_it(tmp_path, capsys):
     assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "usps.bz2: corrupt or truncated text data" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_empty_validation_split_exits_1_before_writing(tmp_path, capsys):
+    config = write_data_files(tmp_path)
+    one_line = usps_text(np.random.default_rng(2), 1)
+    (tmp_path / "usps/usps.t.bz2").write_bytes(bz2.compress(one_line.encode()))
+    assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
+    assert "the val dataset is empty" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -21,7 +21,6 @@ from labelalign.data import (
     next_batch,
     resize_bilinear,
     split_target,
-    standardize,
 )
 
 
@@ -411,29 +410,6 @@ def test_dataset_invariants_enforced():
             np.zeros((2, 1, 2, 2), dtype=np.float32), np.zeros(3, dtype=np.int64),
             "synthetic", "train",
         )
-
-
-def test_standardize_zero_mean_unit_variance():
-    ds = make_synthetic(64, seed=3)
-    out = standardize(ds)
-    assert abs(out.images.mean()) < 1e-5
-    assert abs(out.images.std() - 1.0) < 1e-4
-    assert out.standardized
-
-
-
-def test_subset_and_split_keep_standardized_flag():
-    train = standardize(make_synthetic(40, seed=5))
-    test = standardize(make_synthetic(30, seed=6))
-    assert train.images.min() < 0.0  # outside [0, 1], so the flag must carry over
-
-    part = test.subset(np.arange(10), split="val")
-    assert part.standardized and len(part) == 10 and part.split == "val"
-    np.testing.assert_array_equal(part.images, test.images[:10])
-
-    adapt, val, held = split_target(train, test, seed=1)
-    assert adapt.standardized and val.standardized and held.standardized
-    assert len(val) + len(held) == len(test)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ def test_same_seed_same_bits_and_different_seeds_differ():
 
 def test_biases_start_at_zero():
     params = build_model(DEFAULT_SPEC, seed=0)
-    biases = [name for name in params.names() if name.endswith("_b")]
+    biases = [name for name in params if name.endswith("_b")]
     assert sorted(biases) == ["conv0_b", "conv1_b", "feat_b", "head_b"]
     for name in biases:
         assert not params[name].data.any()

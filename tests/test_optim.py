@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from labelalign.autodiff import Tensor
-from labelalign.optim import Adam, OptimizerError, ParameterSet
+from labelalign.optim import Adam, OptimizerError
 
 
 def param_set(**named):
-    ps = ParameterSet()
-    for name, value in named.items():
-        ps.add(name, Tensor(np.asarray(value, dtype=np.float64), requires_grad=True))
-    return ps
+    return {
+        name: Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
+        for name, value in named.items()
+    }
 
 
 def test_adam_single_step_magnitude_and_sign():
@@ -66,9 +66,3 @@ def test_adam_matches_reference_formula_over_steps():
         ref = ref - alpha * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
     np.testing.assert_allclose(ps["p"].data, ref, rtol=1e-12, atol=1e-15)
 
-
-def test_parameter_set_rejects_duplicates_and_keeps_order():
-    ps = param_set(b=[1.0], a=[2.0])
-    assert ps.names() == ["b", "a"]
-    with pytest.raises(OptimizerError, match="duplicate"):
-        ps.add("a", Tensor(np.zeros(1), requires_grad=True))

@@ -67,7 +67,7 @@ def test_no_adapt_matches_on_weights_and_leaves_the_gate_untrained():
     params = build_model(SPEC, seed=4, dtype=np.float64)
     names = trainable_names(params, TrainConfig(mode="no_adapt"))
     assert "k_hat" not in names
-    assert sorted(names) == sorted(n for n in params.names() if n != "k_hat")
+    assert sorted(names) == sorted(n for n in params if n != "k_hat")
     assert worst_gradient_error("no_adapt", "projected") < 1e-6
 
 
@@ -98,7 +98,7 @@ def test_evaluate_records_no_tape_and_keeps_the_accuracy(monkeypatch):
     assert evaluate(params, DEFAULT_SPEC, dataset, batch_size=16) == expected
     assert len(outputs) == 3
     assert not any(out.requires_grad or out._parents for out in outputs)
-    assert all(p.grad is None for p in params.tensors())
+    assert all(p.grad is None for p in params.values())
 
 
 # (total, k, src_acc) per step of a float64 run at batch 16 on synthetic data,
