@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelalign import data as data_module
 from labelalign.data import (
     BatchSampler,
     DataFormatError,
@@ -476,6 +477,28 @@ def test_load_usps_matches_the_per_token_reference_bitwise(text, packed):
     ds, (images, labels) = on_files(lambda p: (load_usps(p), reference_usps(p)), raw)
     assert ds.images.tobytes() == images.tobytes()
     assert ds.labels.tobytes() == labels.tobytes()
+
+
+@given(sparse_texts, st.integers(1, 300))
+@settings(max_examples=200, deadline=None)
+def test_load_usps_in_small_blocks_matches_the_per_token_reference_bitwise(text, block_bytes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_USPS_BLOCK_BYTES", block_bytes)
+        ds, (images, labels) = on_files(lambda p: (load_usps(p), reference_usps(p)), text.encode())
+    assert ds.images.tobytes() == images.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 12, 1 << 20])
+def test_load_usps_in_blocks_names_the_file_line(tmp_path, monkeypatch, block_bytes):
+    monkeypatch.setattr(data_module, "_USPS_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3 1:0.5\r\n\n4 2:0.25\n\n5 1:0.5 x\n")
+    with pytest.raises(DataFormatError, match=r"bad.txt:5: unparsable pair 'x'"):
+        load_usps(path)
+    path.write_bytes(b"\n  \n\t\n\n")
+    with pytest.raises(DataFormatError, match=r"bad.txt: no samples found"):
+        load_usps(path)
 
 
 def loads_or_refuses(call, *raws: bytes):
