@@ -12,6 +12,15 @@ the gradient of several tensors; a later gradient is summed into a new array.
 No backward closure writes into ``out.grad`` or into a gradient it has handed
 on, so no gradient buffer changes once it is stored.
 
+No backward closure reads an operand's values at backward time: each keeps
+the arrays it needs (operands, masks, factors, the padded input) from when
+its op ran, and otherwise only shapes and dtypes.  So :func:`release` may
+drop the values of any tensor on a tape once the forward pass no longer
+reads them: its node stays in the graph with the same shape and dtype, and
+the gradients keep every bit.  A training step's feature extractor releases
+its stage intermediates this way, so two feature passes alive at once hold
+only what their backward passes read.
+
 Arrays are float32 or float64 and never upcast silently: training code runs
 at float32 while numerical test oracles run the same code paths at float64.
 Convolution and pooling take batch-innermost (CHWN: channels, height,
@@ -140,6 +149,18 @@ def _make(data, parents, backward) -> Tensor:
     return out
 
 
+def release(t: Tensor):
+    """Drop the values of a tensor recorded on a tape; its node stays in the
+    graph, so gradients still flow through it.
+
+    ``t.data`` becomes a zero-byte, read-only NaN placeholder of the same
+    shape and dtype: a stray read shows NaN, a stray write raises.  Tensors
+    with no backward closure (parameters, inputs, anything built without a
+    tape, or a graph already walked) are left as they are."""
+    if t._backward is not None:
+        t.data = np.broadcast_to(np.array(np.nan, dtype=t.data.dtype), t.data.shape)
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic (numpy broadcasting rules apply)
 # ---------------------------------------------------------------------------
@@ -150,11 +171,12 @@ def add(a, b) -> Tensor:
     b = _as_tensor(b, a)
     _check_dtypes(a, b, "add")
     out_data = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(out):
         g = out.grad
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        _accumulate(a, _unbroadcast(g, a_shape))
+        _accumulate(b, _unbroadcast(g, b_shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -164,11 +186,12 @@ def sub(a, b) -> Tensor:
     b = _as_tensor(b, a)
     _check_dtypes(a, b, "sub")
     out_data = a.data - b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(out):
         g = out.grad
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        _accumulate(a, _unbroadcast(g, a_shape))
+        _accumulate(b, _unbroadcast(-g, b_shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -177,24 +200,25 @@ def mul(a, b) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = _as_tensor(b, a)
     _check_dtypes(a, b, "mul")
-    out_data = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out_data = a_data * b_data
 
     def backward(out):
         g = out.grad
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g * b_data, a_data.shape))
+        _accumulate(b, _unbroadcast(g * a_data, b_data.shape))
 
     return _make(out_data, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar held outside the graph."""
-    c = float(c)
+    c = np.asarray(float(c), dtype=a.data.dtype)
 
     def backward(out):
-        _accumulate(a, out.grad * np.asarray(c, dtype=a.data.dtype))
+        _accumulate(a, out.grad * c)
 
-    return _make(a.data * np.asarray(c, dtype=a.data.dtype), (a,), backward)
+    return _make(a.data * c, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +238,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise AutodiffError(
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}"
         )
-    out_data = a.data @ b.data
+    a_data, b_data = a.data, b.data
+    out_data = a_data @ b_data
 
     def backward(out):
         g = out.grad
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b_data.T)
+        _accumulate(b, a_data.T @ g)
 
     return _make(out_data, (a, b), backward)
 
@@ -238,7 +263,7 @@ def relu(a: Tensor) -> Tensor:
     out_data += 0
 
     def backward(out):
-        _accumulate(a, out.grad * (out.data > 0))
+        _accumulate(a, out.grad * (out_data > 0))
 
     return _make(out_data, (a,), backward)
 
@@ -269,9 +294,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out_data = a.data.reshape(shape)
+    a_shape = a.data.shape
 
     def backward(out):
-        _accumulate(a, out.grad.reshape(a.data.shape))
+        _accumulate(a, out.grad.reshape(a_shape))
 
     return _make(out_data, (a,), backward)
 
@@ -287,9 +313,10 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 def tsum(a: Tensor) -> Tensor:
     out_data = a.data.sum()
+    a_shape = a.data.shape
 
     def backward(out):
-        _accumulate(a, np.broadcast_to(out.grad, a.data.shape))
+        _accumulate(a, np.broadcast_to(out.grad, a_shape))
 
     return _make(out_data, (a,), backward)
 
@@ -381,13 +408,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     def backward(out):
         g = out.grad.reshape(o, ho * span)
         if kernel.requires_grad:
-            dkt = np.zeros((taps, o), dtype=kernel.data.dtype)
+            dkt = np.zeros((taps, o), dtype=xp.dtype)
             for cols, block in column_blocks():
                 dkt += block @ g[cols].T
             _accumulate(kernel, dkt.T.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            dxp = np.zeros((c, hp, wp, b), dtype=x.data.dtype)
-            buf = np.empty(taps * rows * span, dtype=x.data.dtype)
+            dxp = np.zeros((c, hp, wp, b), dtype=xp.dtype)
+            buf = np.empty(taps * rows * span, dtype=xp.dtype)
             # bottom-up: a padded row gets its taps in ascending (i, j) order
             for r in range(rows * ((ho - 1) // rows), -1, -rows):
                 n = min(rows, ho - r)
@@ -417,7 +444,8 @@ def maxpool2x2(x: Tensor) -> Tensor:
     first; a NaN feature makes the loss NaN, and ``train`` stops before any
     backward pass.
     """
-    h, w = x.data.shape[1:3]
+    x_shape, dtype = x.data.shape, x.data.dtype
+    h, w = x_shape[1:3]
     ho, wo = h // 2, w // 2
     if ho < 1 or wo < 1:
         raise AutodiffError(f"maxpool2x2 needs at least 2x2 input, got {h}x{w}")
@@ -433,7 +461,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
     def backward(out):
         # every position is written below, except dropped odd rows/columns
-        dx = np.zeros_like(x.data) if h % 2 or w % 2 else np.empty_like(x.data)
+        dx = (np.zeros if h % 2 or w % 2 else np.empty)(x_shape, dtype)
         bottom_wins = ~top_wins
         first = top_wins & p_wins
         third = bottom_wins & r_wins

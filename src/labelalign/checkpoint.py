@@ -98,8 +98,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     if not isinstance(config, dict) or not all(isinstance(v, str) for v in config.values()):
         raise CheckpointError(f"corrupt checkpoint {path}: 'config' is not a string map")
     blobs = memoryview(raw)[16 + header_len :]
+    arrays = {}
     try:
-        arrays = dict(_read_param(entry, blobs) for entry in header["params"])
+        for entry in header["params"]:
+            name, arr = _read_param(entry, blobs)
+            if name in arrays:
+                raise ValueError(f"parameter '{name}' appears more than once")
+            arrays[name] = arr
     except ValueError as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
     return arrays, config
@@ -131,6 +136,9 @@ def restore_params(arrays: dict[str, np.ndarray], expected_shapes: dict[str, tup
     missing = set(expected_shapes) - set(arrays)
     if missing:
         raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)}")
+    stray = set(arrays) - set(expected_shapes)
+    if stray:
+        raise CheckpointError(f"checkpoint has parameters the model lacks: {sorted(stray)}")
     params = {}
     for name, shape in expected_shapes.items():
         arr = arrays[name]

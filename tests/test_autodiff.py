@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelalign import autodiff as ad
+from labelalign import spectral
 from labelalign.autodiff import AutodiffError, Tensor, backward
 
 from conftest import numeric_grad, rel_err
@@ -575,3 +576,97 @@ def test_forward_and_gradients_deterministic():
     assert l1 == l2
     np.testing.assert_array_equal(gx1, gx2)
     np.testing.assert_array_equal(gk1, gk2)
+
+
+# ---------------------------------------------------------------------------
+# released tape values: no backward closure reads them
+# ---------------------------------------------------------------------------
+
+# name -> (leaf shapes, op applied to non-leaf operands)
+RELEASE_CASES = {
+    "add": ([(3, 4), (4,)], lambda a, b: ad.add(a, b)),
+    "sub": ([(3, 4), (3, 1)], lambda a, b: ad.sub(a, b)),
+    "mul": ([(3, 4), (1, 4)], lambda a, b: ad.mul(a, b)),
+    "scale": ([(3, 4)], lambda a: ad.scale(a, -1.7)),
+    "matmul": ([(3, 4), (4, 5)], lambda a, b: ad.matmul(a, b)),
+    "relu": ([(3, 4)], lambda a: ad.relu(a)),
+    "sigmoid": ([(3, 4)], lambda a: ad.sigmoid(a)),
+    "softmax": ([(3, 4)], lambda a: ad.softmax(a)),
+    "softmax_cross_entropy": ([(3, 4)], lambda a: ad.softmax_cross_entropy(a, np.array([0, 2, 1]))[0]),
+    "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
+    "transpose": ([(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1))),
+    "tsum": ([(3, 4)], lambda a: ad.tsum(a)),
+    "mean_squared_norm": ([(3, 4)], lambda a: ad.mean_squared_norm(a)),
+    "maxpool2x2_even": ([(2, 4, 6, 3)], lambda a: ad.maxpool2x2(a)),
+    "maxpool2x2_odd": ([(2, 5, 7, 3)], lambda a: ad.maxpool2x2(a)),
+    "conv2d_pad0": ([(2, 6, 6, 3), (4, 2, 3, 3)], lambda x, k: ad.conv2d(x, k)),
+    "conv2d_pad1": ([(2, 6, 6, 3), (4, 2, 3, 3)], lambda x, k: ad.conv2d(x, k, padding=1)),
+    "spectral_filter_projected": (
+        [(6, 4), (4,)],
+        lambda phi, w: spectral.spectral_filter(phi, ad.sigmoid(w), "top", "projected"),
+    ),
+    "spectral_filter_full": (
+        [(6, 4), (4,)],
+        lambda phi, w: spectral.spectral_filter(phi, ad.sigmoid(w), "bottom", "full"),
+    ),
+}
+
+
+def tape(root):
+    """Every node reachable from ``root`` that holds a backward closure."""
+    nodes, seen, todo = [], {id(root)}, [root]
+    while todo:
+        node = todo.pop()
+        if node._backward is not None:
+            nodes.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return nodes
+
+
+def leaf_gradients(case, dtype, release):
+    shapes, op = RELEASE_CASES[case]
+    rng = np.random.default_rng(21)
+    leaves = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+    out = op(*(ad.scale(leaf, 1.0) for leaf in leaves))
+    upstream = Tensor(rng.standard_normal(out.shape).astype(dtype))
+    loss = ad.tsum(ad.mul(out, upstream))
+    if release:
+        nodes = tape(loss)
+        for node in nodes:
+            ad.release(node)
+        assert len(nodes) >= len(leaves) + 3 and all(not n.data.flags.writeable for n in nodes)
+    backward(loss)
+    return [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(RELEASE_CASES))
+def test_gradients_keep_their_bits_with_every_tape_value_released(case, dtype):
+    kept = leaf_gradients(case, dtype, release=False)
+    released = leaf_gradients(case, dtype, release=True)
+    for k, r in zip(kept, released):
+        assert r.dtype == k.dtype == dtype and r.shape == k.shape
+        assert r.tobytes() == k.tobytes()
+
+
+def test_release_drops_only_values_recorded_on_a_tape():
+    rng = np.random.default_rng(22)
+    param = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+    image = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
+    tapeless = ad.relu(ad.scale(image, 2.0))
+    walked = ad.scale(param, 2.0)
+    backward(ad.tsum(walked))
+    for t in (param, image, tapeless, walked):  # a walked graph has no tape left
+        before = t.data
+        ad.release(t)
+        assert t.data is before and t.data.flags.writeable
+
+    recorded = ad.relu(ad.scale(param, 2.0))
+    ad.release(recorded)
+    assert recorded.shape == (3, 4) and recorded.dtype == np.float32
+    assert np.isnan(recorded.data).all() and recorded.data.strides == (0, 0)  # no bytes of its own
+    with pytest.raises(ValueError, match="read-only"):
+        recorded.data[0, 0] = 1.0

@@ -43,6 +43,13 @@ def test_restore_rejects_shape_mismatch():
         restore_params(arrays, DEFAULT_SPEC.param_shapes())
 
 
+def test_restore_rejects_a_parameter_the_model_lacks():
+    arrays = {name: t.data for name, t in build_model(DEFAULT_SPEC, seed=0).items()}
+    arrays["stray_w"] = np.zeros(3, dtype=np.float32)
+    with pytest.raises(CheckpointError, match=r"lacks: \['stray_w'\]"):
+        restore_params(arrays, DEFAULT_SPEC.param_shapes())
+
+
 class _FailingFile:
     """Wraps a real file and fails with ENOSPC once ``limit`` bytes are written."""
 
@@ -169,8 +176,17 @@ def first_entry(**changes) -> bytes:
         first_entry(shape=[True, 18]),  # 18 values, as in the entry's [2, 1, 3, 3]
         first_entry(nbytes=float(HEADER["params"][0]["nbytes"])),
         first_entry(shape=[0, 2**70], nbytes=0),
+        json.dumps({"params": [HEADER["params"][0]] * 2}).encode(),
     ],
-    ids=["deep", "long_integer", "bool_offset", "bool_in_shape", "float_nbytes", "huge_empty_shape"],
+    ids=[
+        "deep",
+        "long_integer",
+        "bool_offset",
+        "bool_in_shape",
+        "float_nbytes",
+        "huge_empty_shape",
+        "repeated_name",
+    ],
 )
 def test_malformed_headers_raise_checkpoint_error(payload):
     raw = MAGIC + struct.pack("<II", VERSION, len(payload)) + payload + VALID[HEADER_END:]

@@ -172,6 +172,16 @@ def entry(**changes):
     return {key: value for key, value in {**base, **changes}.items() if value is not None}
 
 
+def with_extra_entry(whole: bytes, pick) -> bytes:
+    """The checkpoint ``whole`` with one more parameter entry in its header,
+    ``pick(entries)``; the blob region stays as it is."""
+    header_end = 16 + struct.unpack_from("<I", whole, 12)[0]
+    header = json.loads(whole[16:header_end])
+    header["params"].append(pick(header["params"]))
+    payload = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<II", VERSION, len(payload)) + payload + whole[header_end:]
+
+
 def test_corrupt_checkpoint_exits_2(tmp_path, tiny_config, capsys):
     out = tmp_path / "run"
     assert run_train(tiny_config, out) == EXIT_OK
@@ -195,6 +205,18 @@ def test_corrupt_checkpoint_exits_2(tmp_path, tiny_config, capsys):
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(path)]) == EXIT_RUNTIME, name
         assert "corrupt checkpoint" in capsys.readouterr().err, name
+
+    # whole checkpoints with one entry too many, named in the message
+    named = {
+        "stray_w": with_extra_entry(whole, lambda entries: {**entries[-1], "name": "stray_w"}),
+        "conv0_w": with_extra_entry(whole, lambda entries: entries[0]),  # conv0_w twice
+    }
+    for name, raw in named.items():
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(raw)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path)]) == EXIT_RUNTIME, name
+        assert f"'{name}'" in capsys.readouterr().err, name
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import platform
 import resource
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,25 @@ def test_steady_training_steps_fault_in_no_fresh_pages():
     train(cfg, data, on_step=count_faults)
     per_step = np.diff(faults[1:])  # from the end of the second warm-up step
     assert per_step.mean() < 1000, per_step
+
+
+def test_a_dla_step_keeps_only_what_its_backward_pass_reads():
+    # the step holds two feature passes at once and peaks at about 40 MB;
+    # keeping each stage's conv, pool and bias-add outputs (14.4 MB per pass
+    # at batch 128, read by no backward closure) would take it to 69 MB
+    cfg = TrainConfig()
+    source, target = make_synthetic(128, 1), make_synthetic(128, 2, domain_shift=0.35)
+    params = build_model(DEFAULT_SPEC, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        total, _, _ = dla_loss(params, DEFAULT_SPEC, source.images, source.labels, target.images, cfg)
+        ad.backward(total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(params[name].grad).all() for name in trainable_names(params, cfg))
+    assert (peak - before) / 1e6 < 50
 
 
 def test_train_refuses_images_the_model_cannot_take():
