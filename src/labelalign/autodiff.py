@@ -4,8 +4,13 @@ The graph is built eagerly: every operation returns a new :class:`Tensor`
 holding references to its operands and a closure that pushes gradients back
 to them.  Calling :func:`backward` on a scalar walks the graph once in
 reverse topological order, accumulating gradients additively (so shared
-subexpressions add up, e.g. d(x+x)/dx == 2), then releases the graph so a
-stale tape cannot be replayed by accident.
+subexpressions add up, e.g. d(x+x)/dx == 2), and releases each node's graph
+record as it passes, so a stale tape cannot be replayed by accident.  The
+walk holds no node it has passed: a walked node the caller does not hold
+is freed, with its values and gradient, as soon as its operands have their
+gradients, so a backward pass holds about one layer's gradients at a time
+rather than all of them.  Tensors the caller holds keep ``.data`` and
+``.grad``.
 
 A tensor's first gradient is held by reference, so one buffer may serve as
 the gradient of several tensors; a later gradient is summed into a new array.
@@ -257,13 +262,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """``max(a, 0)`` with NaN and ``-0.0`` mapped to ``+0.0``, the bits of
     ``np.where(a > 0, a, 0)``.  ``fmax`` drops NaN without a data-dependent
-    branch and ``+= 0`` turns ``-0.0`` into ``+0.0``; the backward reads its
-    mask off the output, so the tape keeps no mask."""
+    branch and ``+= 0`` turns ``-0.0`` into ``+0.0``.  When ``a`` needs a
+    gradient the tape keeps the one-byte mask ``out > 0``, not the output,
+    so a caller may :func:`release` the output once it has read it (as the
+    next convolution does when it pads it); otherwise there is no tape."""
     out_data = np.fmax(a.data, 0)
     out_data += 0
+    if not a.requires_grad:
+        return Tensor(out_data)
+    mask = out_data > 0
 
     def backward(out):
-        _accumulate(a, out.grad * (out_data > 0))
+        _accumulate(a, out.grad * mask)
 
     return _make(out_data, (a,), backward)
 
@@ -550,8 +560,15 @@ def backward(loss: Tensor):
     """Populate gradients of everything reachable from ``loss``.
 
     ``loss`` must be a scalar.  Gradients accumulate additively across shared
-    subexpressions; afterwards the graph records are released so calling this
-    twice on the same graph raises instead of silently under-propagating.
+    subexpressions.  Each node's graph record is released once its closure
+    has run, so calling this twice on the same graph raises instead of
+    silently under-propagating.
+
+    Nodes are popped off the end of the topological order as they are
+    walked, so the walk keeps no reference to a node it has passed.  A
+    walked intermediate that the caller does not hold is then freed, values
+    and gradient, as soon as its operands have their gradients;
+    intermediates and leaves the caller holds keep ``.data`` and ``.grad``.
     """
     if loss.data.size != 1:
         raise AutodiffError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -575,7 +592,8 @@ def backward(loss: Tensor):
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:  # popped, a walked node is held only by the caller or an unwalked node
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node)
         node._released = True

@@ -106,13 +106,16 @@ def forward_features(params: dict[str, Tensor], spec: ModelSpec, x: Tensor) -> T
 
     Once a stage's ReLU has run, the stage releases (:func:`autodiff.release`)
     its conv, pool and bias-add outputs: no backward closure reads them, and
-    a 128-sample batch would otherwise keep 14.4 MB of them on the tape.  The
+    a 128-sample batch would otherwise keep 14.4 MB of them on the tape.  It
+    also releases its input, the previous stage's ReLU output, once its conv
+    has read it: the conv keeps its padded input, the ReLU a one-byte mask.  The
     nodes stay, so gradients are unchanged; without a tape (as in
     ``evaluate``) the calls do nothing."""
     pad = spec.kernel_size // 2
     out = ad.transpose(x, (1, 2, 3, 0))
     for i in range(len(spec.conv_channels)):
         conv = ad.conv2d(out, params[f"conv{i}_w"], stride=1, padding=pad)
+        ad.release(out)
         pooled = ad.maxpool2x2(conv)
         biased = ad.add(pooled, params[f"conv{i}_b"].reshape(-1, 1, 1, 1))
         out = ad.relu(biased)

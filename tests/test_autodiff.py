@@ -189,6 +189,41 @@ def test_backward_consumes_graph():
         backward(loss)
 
 
+def test_backward_frees_each_walked_node_as_it_goes():
+    # a chain of scales over a 4 MB leaf: a walk that kept every node until
+    # it ended kept one gradient per link, so its peak grew with the chain
+    leaf = t64(np.ones((512, 1024)))
+    operand = leaf.data.nbytes
+    for links in (2, 10):
+        out = leaf
+        for _ in range(links):
+            out = ad.scale(out, 0.5)
+        loss = ad.tsum(out)
+        del out
+        leaf.grad = None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (leaf.grad == 0.5**links).all()
+        assert peak - before < 3 * operand, (links, peak - before)
+
+
+def test_tensors_the_caller_holds_keep_values_and_gradients():
+    x = t64([1.0, -2.0, 3.0])
+    mid = ad.scale(x, 2.0)
+    loss = ad.tsum(ad.mul(ad.relu(mid), mid))
+    backward(loss)
+    assert mid._backward is None and mid._parents == ()  # its graph record is gone
+    np.testing.assert_array_equal(mid.data, [2.0, -4.0, 6.0])
+    np.testing.assert_array_equal(mid.grad, [4.0, 0.0, 12.0])
+    np.testing.assert_array_equal(x.grad, [8.0, 0.0, 24.0])
+    assert loss.item() == 40.0 and loss.grad == 1.0
+
+
 def test_mixed_dtypes_rejected():
     a = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
     b = Tensor(np.zeros(2, dtype=np.float64))
@@ -559,6 +594,18 @@ def test_maxpool_keeps_masks_only_for_a_gradient():
         if isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.dtype == bool
     ]
     assert [m.shape for m in kept] == [(2, 2, 3, 3)] * 3
+
+
+def test_relu_keeps_a_mask_only_for_a_gradient():
+    x = np.random.default_rng(13).standard_normal((3, 4))
+    frozen = ad.relu(t64(x, grad=False))
+    assert frozen._backward is None and frozen._parents == ()
+    kept = [
+        cell.cell_contents
+        for cell in ad.relu(t64(x))._backward.__closure__
+        if isinstance(cell.cell_contents, np.ndarray)
+    ]
+    assert [(m.dtype, m.shape) for m in kept] == [(np.dtype(bool), (3, 4))]  # not the output
 
 
 def test_forward_and_gradients_deterministic():
