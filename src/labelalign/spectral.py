@@ -118,8 +118,7 @@ def gate_weights(k: Tensor, beta: float, r: int) -> Tensor:
 def _svd_backward(u, s, v, du, ds, dv):
     """Gradient w.r.t. the decomposed matrix given factor gradients.
 
-    Standard thin-SVD differential with clamped cross terms.  ``du``/``dv``
-    may be None when the loss does not touch that factor.
+    Standard thin-SVD differential with clamped cross terms.
     """
     n, r = u.shape
     d = v.shape[0]
@@ -127,36 +126,31 @@ def _svd_backward(u, s, v, du, ds, dv):
     smax2 = s2[0] if s2.size and s2[0] > 0 else 1.0
     diff = s2[None, :] - s2[:, None]
     tau = _DENOM_CLAMP_REL * smax2
-    small = (np.abs(diff) < tau) & ~np.eye(r, dtype=bool)
-    if small.any():
+    clamped = np.abs(diff) < tau
+    off_diag = ~np.eye(r, dtype=bool)
+    n_small = int((clamped & off_diag).sum())
+    if n_small:
         logger.warning(
             "degenerate spectrum: %d cross-term denominators clamped (min gap %.3g)",
-            int(small.sum()),
-            float(np.abs(diff[~np.eye(r, dtype=bool)]).min()) if r > 1 else 0.0,
+            n_small,
+            float(np.abs(diff[off_diag]).min()),
         )
-    denom = np.where(np.abs(diff) < tau, np.where(diff < 0, -tau, tau), diff)
-    f = 1.0 / denom
+    f = 1.0 / np.where(clamped, np.where(diff < 0, -tau, tau), diff)
     np.fill_diagonal(f, 0.0)
 
+    utdu = u.T @ du
+    vtdv = v.T @ dv
     bracket = np.zeros((r, r), dtype=u.dtype)
-    if ds is not None:
-        bracket[np.diag_indices(r)] = ds
-    s_floor = np.maximum(s, 1e-12 * np.sqrt(smax2))
-    extra = None
-    if du is not None:
-        utdu = u.T @ du
-        bracket += (f * (utdu - utdu.T)) * s[None, :]
-        if n > r:
-            extra = (du - u @ utdu) / s_floor[None, :] @ v.T
-    if dv is not None:
-        vtdv = v.T @ dv
-        bracket += s[:, None] * (f * (vtdv - vtdv.T))
-        if d > r:
-            term = (u / s_floor[None, :]) @ (dv - v @ vtdv).T
-            extra = term if extra is None else extra + term
+    bracket[np.diag_indices(r)] = ds
+    bracket += (f * (utdu - utdu.T)) * s[None, :]
+    bracket += s[:, None] * (f * (vtdv - vtdv.T))
     da = u @ bracket @ v.T
-    if extra is not None:
-        da = da + extra
+    # r = min(n, d), so at most one of the two tails is nonempty
+    s_floor = np.maximum(s, 1e-12 * np.sqrt(smax2))
+    if n > r:
+        da += (du - u @ utdu) / s_floor[None, :] @ v.T
+    if d > r:
+        da += (u / s_floor[None, :]) @ (dv - v @ vtdv).T
     return da
 
 

@@ -27,8 +27,6 @@ Modes:
 * ``dla``        the full objective above.
 * ``no_adapt``   source-only baseline: no spectral filter runs, the gate
   parameter is not trained, and the alignment and rank terms are zero.
-* ``partial_la`` the alignment term is dropped but the gated top filter and
-  the rank regularizer stay: a supervised regularizer, no target data needed.
 
 Evaluation always bypasses the filter: a per-batch SVD is ill-defined for
 single-example inference, so accuracy is measured on raw features.
@@ -50,7 +48,7 @@ from .model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forwa
 from .optim import Adam
 from .spectral import GRADIENT_MODES, spectral_filter
 
-MODES = ("dla", "no_adapt", "partial_la")
+MODES = ("dla", "no_adapt")
 DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
@@ -161,30 +159,27 @@ def dla_loss(
     """
     if len(source_images) == 0:
         raise ConfigError("source batch is empty")
-    if cfg.mode == "dla" and target_images is None:
-        raise ConfigError("dla mode needs a target batch")
+    adapt = cfg.mode == "dla"
+    if adapt and (target_images is None or len(target_images) == 0):
+        raise ConfigError("dla mode needs a nonempty target batch")
 
     dtype = cfg.np_dtype
     k = ad.sigmoid(params["k_hat"])
     phi = forward_features(params, spec, Tensor(np.asarray(source_images, dtype=dtype)))
-    if cfg.mode != "no_adapt":
+    if adapt:
         w = spectral.gate_weights(k, cfg.beta, min(phi.shape))
         phi = spectral_filter(phi, w, "top", cfg.gradient_mode)
     cls_t, probs = ad.softmax_cross_entropy(forward_head(params, phi), source_labels)
 
     total_t, align, k_reg = cls_t, 0.0, 0.0
-    if cfg.mode == "dla":
-        if len(target_images) == 0:
-            raise ConfigError("target batch is empty")
+    if adapt:
         phi_t = forward_features(params, spec, Tensor(np.asarray(target_images, dtype=dtype)))
         phi_bottom = spectral_filter(phi_t, w, "bottom", cfg.gradient_mode)
         align_t = ad.mean_squared_norm(ad.softmax(forward_head(params, phi_bottom)))
         total_t = ad.add(total_t, ad.scale(align_t, cfg.lam))
-        align = float(align_t.data)
-    if cfg.mode != "no_adapt":
         kreg_t = ad.mul(k, k)
         total_t = ad.add(total_t, ad.scale(kreg_t, cfg.gamma))
-        k_reg = float(kreg_t.data)
+        align, k_reg = float(align_t.data), float(kreg_t.data)
 
     parts = DlaLossParts(
         cls=float(cls_t.data), align=align, k_reg=k_reg, total=float(total_t.data), k=float(k.data)
@@ -195,7 +190,7 @@ def dla_loss(
 def trainable_names(params: dict[str, Tensor], cfg: TrainConfig) -> list[str]:
     """All weights, plus the gate parameter whenever the filter runs."""
     names = [n for n in params if n != "k_hat"]
-    if cfg.mode != "no_adapt":
+    if cfg.mode == "dla":
         names.append("k_hat")
     return names
 

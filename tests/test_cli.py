@@ -130,11 +130,13 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
         TINY.replace("steps = 3", "steps = lots"),
         TINY.replace("[train]\n", "[train]\ngate = ones\n"),
         TINY.replace("synthetic_val_size = 16", "synthetic_val_size = 0"),
+        TINY.replace("[train]\n", "[train]\nmode = partial_la\n"),
     ):
         config = tmp_path / "bad.ini"
         config.write_text(bad)
         assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
 
     config = tmp_path / "no_files.ini"
     config.write_text(f"[data]\ndataset = mnist-usps\ndir = {tmp_path / 'nothing'}\n")
@@ -152,6 +154,10 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
     assert "unknown config key 'standardize' in section [data]" in capsys.readouterr().err
+    # a checkpoint from before the partial_la mode was removed echoes it
+    stale.write_bytes(hand_built({"config": {"train.mode": "partial_la"}, "params": []}))
+    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
+    assert "got 'partial_la'" in capsys.readouterr().err
 
 
 def test_eval_dataset_outside_the_four_names_exits_2(tmp_path, capsys):

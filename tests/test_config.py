@@ -9,7 +9,7 @@ NON_DEFAULT = {
     "train": {
         "lam": "0.25",
         "gamma": "1e-5",
-        "mode": "partial_la",
+        "mode": "no_adapt",
         "gradient_mode": "full",
         "dtype": "float64",
         "timing": "off",
