@@ -55,8 +55,9 @@ def worst_gradient_error(mode, gradient_mode, names=None):
     return worst
 
 
-def test_full_mode_matches_finite_differences_on_every_parameter():
-    assert worst_gradient_error("dla", "full") < 1e-6
+@pytest.mark.parametrize("mode", ["dla", "no_adapt"])
+def test_full_mode_matches_finite_differences_on_every_parameter(mode):
+    assert worst_gradient_error(mode, "full") < 1e-6
 
 
 def test_projected_mode_matches_on_parameters_the_factors_do_not_depend_on():
