@@ -26,8 +26,8 @@ from .data import (
     ImageDataset,
     load_mnist,
     load_usps,
-    make_synthetic,
     split_target,
+    synthetic_domains,
 )
 from .linearlab import LinearLabError, identity_suite
 from .model import DEFAULT_SPEC
@@ -75,58 +75,40 @@ def _data_files(cfg: RunConfig, *keys: str) -> list[Path]:
     return paths
 
 
-def _split_seeds(cfg: RunConfig) -> np.ndarray:
-    """Seeds of the synthetic source, target, val and test sets."""
-    return np.random.SeedSequence(cfg.data["split_seed"]).generate_state(4)
-
-
 def source_dataset(cfg: RunConfig, split: str = "train") -> ImageDataset:
-    """The labeled source set: MNIST ``train`` or ``test``, or the synthetic
-    source (``train`` only)."""
-    data = cfg.data
-    if data["dataset"] == "synthetic":
-        if split != "train":
-            raise ConfigError("synthetic runs have no separate source test set")
-        return make_synthetic(data["synthetic_source_size"], int(_split_seeds(cfg)[0]), split="train")
+    """The labeled MNIST ``train`` or ``test`` set."""
     images, labels = _data_files(cfg, f"mnist_{split}_images", f"mnist_{split}_labels")
     return load_mnist(images, labels, split=split)
 
 
-def target_datasets(cfg: RunConfig) -> tuple[ImageDataset, ImageDataset, ImageDataset]:
-    """(unlabeled adaptation pool, labeled val, labeled test) of the target domain."""
-    data = cfg.data
-    if data["dataset"] == "synthetic":
-        seeds = _split_seeds(cfg)
-        target = make_synthetic(
-            data["synthetic_target_size"], int(seeds[1]), domain_shift=0.35, split="train"
-        ).drop_labels()
-        val = make_synthetic(
-            data["synthetic_val_size"], int(seeds[2]), domain_shift=0.35, split="val"
-        )
-        test = make_synthetic(
-            data["synthetic_test_size"], int(seeds[3]), domain_shift=0.35, split="test"
-        )
-        return target, val, test
-    train_path, test_path = _data_files(cfg, "usps_train", "usps_test")
-    usps_train = load_usps(train_path, split="train")
-    usps_test = load_usps(test_path, split="test")
-    return split_target(usps_train, usps_test, seed=data["split_seed"])
+def target_datasets(cfg: RunConfig) -> tuple[ImageDataset, ImageDataset]:
+    """(labeled val, labeled test): the USPS test file split by ``split_seed``."""
+    (test_path,) = _data_files(cfg, "usps_test")
+    return split_target(load_usps(test_path, split="test"), seed=cfg.data["split_seed"])
 
 
 def build_datasets(cfg: RunConfig) -> TrainData:
-    if cfg.data["dataset"] != "synthetic":  # name every missing file before any load
-        _data_files(cfg, "mnist_train_images", "mnist_train_labels", "usps_train", "usps_test")
+    if cfg.data["dataset"] == "synthetic":
+        return TrainData(*synthetic_domains(cfg.data["split_seed"]))
+    # name every missing file before any load
+    _data_files(cfg, "mnist_train_images", "mnist_train_labels", "usps_train", "usps_test")
     source = source_dataset(cfg)
-    target, val, test = target_datasets(cfg)
+    target = load_usps(cfg.data_path("usps_train"), split="train").drop_labels()
+    val, test = target_datasets(cfg)
     return TrainData(source=source, target=target, val=val, test=test)
 
 
 def _eval_dataset(cfg: RunConfig, name: str) -> ImageDataset:
-    """The one dataset ``eval`` scores, by its ``--dataset`` choice; only its
-    own domain's files are read."""
+    """The one dataset ``eval`` scores, by its ``--dataset`` choice; only the
+    file or files that set comes from are read."""
+    if cfg.data["dataset"] == "synthetic":
+        if name == "source-test":
+            raise ConfigError("synthetic runs have no separate source test set")
+        source, _, val, test = synthetic_domains(cfg.data["split_seed"])
+        return {"source-train": source, "target-val": val, "target-test": test}[name]
     if name in ("source-train", "source-test"):
         return source_dataset(cfg, name.removeprefix("source-"))
-    _, val, test = target_datasets(cfg)
+    val, test = target_datasets(cfg)
     return val if name == "target-val" else test
 
 
@@ -236,15 +218,6 @@ def cmd_linear_lab(args) -> int:
             f"{row.pair:<26} {row.n:>4} {row.d:>3} {row.seed:>4} "
             f"{row.residual:>12.3e} {row.bound:>12.3e} {status}"
         )
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("n,d,k_star,seed,pair,residual,bound,ok\n")
-            for row in rows:
-                fh.write(
-                    f"{row.n},{row.d},{row.k_star},{row.seed},{row.pair},"
-                    f"{row.residual!r},{row.bound!r},{int(row.ok)}\n"
-                )
-        print(f"wrote {args.out}")
     if failures:
         print(f"{failures} identity check(s) out of tolerance")
         return EXIT_RUNTIME
@@ -253,7 +226,7 @@ def cmd_linear_lab(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    plot_metrics(args.metrics, args.out, title=args.title)
+    plot_metrics(args.metrics, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -291,13 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--k-star", type=int, default=4, dest="k_star")
     p_lab.add_argument("--seeds", type=int, default=20)
     p_lab.add_argument("--noise", type=float, default=0.0)
-    p_lab.add_argument("--out", help="write residuals CSV here")
     p_lab.set_defaults(func=cmd_linear_lab)
 
     p_plot = sub.add_parser("plot", help="render a metrics CSV as an SVG chart")
     p_plot.add_argument("--metrics", required=True)
     p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--title", default="training curves")
     p_plot.set_defaults(func=cmd_plot)
     return parser
 

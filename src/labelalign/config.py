@@ -52,10 +52,6 @@ _SCHEMA = {
         "usps_train": ("str", "usps/usps.bz2"),
         "usps_test": ("str", "usps/usps.t.bz2"),
         "split_seed": ("int", 0),
-        "synthetic_source_size": ("int", 512),
-        "synthetic_target_size": ("int", 512),
-        "synthetic_val_size": ("int", 256),
-        "synthetic_test_size": ("int", 256),
     },
     "output": {"dir": ("str", "runs/latest")},
 }
@@ -136,10 +132,8 @@ def parse_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
         raise ConfigError(
             f"dataset must be one of {DATASETS}, got '{parsed['data']['dataset']}'"
         )
-    lows = {"split_seed": 0, **{f"synthetic_{s}_size": 1 for s in ("source", "target", "val", "test")}}
-    for key, low in lows.items():
-        if parsed["data"][key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {parsed['data'][key]}")
+    if parsed["data"]["split_seed"] < 0:
+        raise ConfigError(f"split_seed must be >= 0, got {parsed['data']['split_seed']}")
     return RunConfig(
         train=TrainConfig(**parsed["train"]).validate(),
         data=parsed["data"],

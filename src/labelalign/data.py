@@ -16,6 +16,7 @@ from __future__ import annotations
 import bz2
 import ctypes
 import gzip
+import math
 import struct
 import warnings
 import zlib
@@ -95,42 +96,36 @@ def _read_bytes(path) -> bytes:
         return fh.read()
 
 
-def load_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int, ndim: int) -> tuple[np.ndarray, list[int]]:
+    """(payload bytes, dimensions) of an IDX file whose header, magic and
+    payload size check out."""
     raw = _read_bytes(path)
-    _malloc_trim(0)
-    if len(raw) < 16:
+    header = 4 + 4 * ndim
+    if len(raw) < header:
         raise DataFormatError(f"{path}: truncated header, only {len(raw)} bytes")
-    magic, count, rows, cols = struct.unpack_from(">IIII", raw, 0)
-    if magic != IMAGE_MAGIC:
+    found, *dims = struct.unpack_from(f">{1 + ndim}I", raw, 0)
+    if found != magic:
         raise DataFormatError(
-            f"{path}: bad magic 0x{magic:08x} at byte 0 (expected 0x{IMAGE_MAGIC:08x})"
+            f"{path}: bad magic 0x{found:08x} at byte 0 (expected 0x{magic:08x})"
         )
-    expected = 16 + count * rows * cols
+    expected = header + math.prod(dims)
     if len(raw) != expected:
         raise DataFormatError(
             f"{path}: truncated payload, expected {expected} bytes, found {len(raw)}"
         )
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
+    return np.frombuffer(raw, dtype=np.uint8, offset=header), dims
+
+
+def load_idx_images(path) -> np.ndarray:
+    pixels, (count, rows, cols) = _read_idx(path, IMAGE_MAGIC, 3)
+    _malloc_trim(0)
     images = pixels.reshape(count, 1, rows, cols).astype(np.float32)
     images /= np.float32(255.0)
     return images
 
 
 def load_idx_labels(path) -> np.ndarray:
-    raw = _read_bytes(path)
-    if len(raw) < 8:
-        raise DataFormatError(f"{path}: truncated header, only {len(raw)} bytes")
-    magic, count = struct.unpack_from(">II", raw, 0)
-    if magic != LABEL_MAGIC:
-        raise DataFormatError(
-            f"{path}: bad magic 0x{magic:08x} at byte 0 (expected 0x{LABEL_MAGIC:08x})"
-        )
-    expected = 8 + count
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"{path}: truncated payload, expected {expected} bytes, found {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
+    return _read_idx(path, LABEL_MAGIC, 1)[0].astype(np.int64)
 
 
 def load_mnist(image_path, label_path, split: str = "train") -> ImageDataset:
@@ -390,19 +385,13 @@ def resize_bilinear(images: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def split_target(train: ImageDataset, test: ImageDataset, seed: int):
-    """(unlabeled adaptation pool, labeled val, labeled test).
-
-    The train set loses its labels; the test set is shuffled by the seed and
-    split half/half (floor to val, ceil to test).
-    """
+def split_target(test: ImageDataset, seed: int) -> tuple[ImageDataset, ImageDataset]:
+    """(labeled val, labeled test): ``test`` shuffled by the seed and split
+    half/half (floor to val, ceil to test)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(len(test))
     n_val = len(test) // 2
-    adapt = replace(train.drop_labels(), split="train")
-    val = test.subset(perm[:n_val], split="val")
-    held = test.subset(perm[n_val:], split="test")
-    return adapt, val, held
+    return test.subset(perm[:n_val], split="val"), test.subset(perm[n_val:], split="test")
 
 
 class BatchSampler:
@@ -478,3 +467,16 @@ def make_synthetic(
         images = images ** (1.0 + domain_shift)
     images = np.clip(images / images.max(), 0.0, 1.0).astype(np.float32)[:, None]
     return ImageDataset(images, labels.astype(np.int64), "synthetic", split)
+
+
+def synthetic_domains(split_seed: int) -> tuple[ImageDataset, ...]:
+    """(labeled source, unlabeled target pool, labeled target val, labeled
+    target test) of the synthetic domain pair: 512, 512, 256 and 256 images,
+    each split seeded from ``split_seed``, the three target sets shifted by 0.35."""
+    seeds = np.random.SeedSequence(split_seed).generate_state(4)
+    source = make_synthetic(512, int(seeds[0]), split="train")
+    target, val, test = (
+        make_synthetic(size, int(seed), domain_shift=0.35, split=split)
+        for size, seed, split in zip((512, 256, 256), seeds[1:], ("train", "val", "test"))
+    )
+    return source, target.drop_labels(), val, test

@@ -84,7 +84,7 @@ def _polyline(points: list[tuple[float, float]], color: str) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}" />'
 
 
-def render_chart(rows: list[dict], title: str = "training curves") -> str:
+def render_chart(rows: list[dict]) -> str:
     steps = [r["step"] for r in rows]
     cls = [r["cls"] for r in rows]
     align = [r["align"] for r in rows]
@@ -111,7 +111,7 @@ def render_chart(rows: list[dict], title: str = "training curves") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white" />',
-        f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" font-size="16">training curves</text>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444" stroke-width="1" />',
     ]
@@ -160,10 +160,7 @@ def render_chart(rows: list[dict], title: str = "training curves") -> str:
 
     parts.append(_polyline([(sx(s), sy_loss(v)) for s, v in zip(steps, cls)], "#d62728"))
     parts.append(_polyline([(sx(s), sy_loss(v)) for s, v in zip(steps, align)], "#1f77b4"))
-    if val:
-        parts.append(_polyline([(sx(s), sy_acc(v)) for s, v in val], "#2ca02c"))
-    else:
-        parts.append('<polyline fill="none" stroke="#2ca02c" stroke-width="1.5" points="" />')
+    parts.append(_polyline([(sx(s), sy_acc(v)) for s, v in val], "#2ca02c"))
 
     legend = [
         ("classification", "#d62728"),
@@ -183,8 +180,8 @@ def render_chart(rows: list[dict], title: str = "training curves") -> str:
     return "\n".join(parts)
 
 
-def plot_metrics(csv_path, out_path, title: str = "training curves"):
+def plot_metrics(csv_path, out_path):
     rows = read_metrics(csv_path)
-    svg = render_chart(rows, title=title)
+    svg = render_chart(rows)
     with open(out_path, "w", newline="\n") as fh:
         fh.write(svg)

@@ -33,12 +33,6 @@ steps = 3
 batch_size = 16
 val_every = 2
 timing = off
-
-[data]
-synthetic_source_size = 32
-synthetic_target_size = 32
-synthetic_val_size = 16
-synthetic_test_size = 24
 """
 
 
@@ -78,6 +72,13 @@ def test_train_then_eval_matches_evaluate(tmp_path, tiny_config, capsys, monkeyp
     data = build_datasets(cfg)
     result = train(cfg.train, data, DEFAULT_SPEC)
     assert printed == f"{100 * evaluate(result.params, DEFAULT_SPEC, data.test):.2f}"
+    eval_on = ["eval", "--checkpoint", str(out / "checkpoint.ckpt"), "--dataset"]
+    for dataset, scored in (("target-val", data.val), ("source-train", data.source)):
+        assert main(eval_on + [dataset]) == EXIT_OK
+        accuracy = evaluate(result.params, DEFAULT_SPEC, scored)
+        assert capsys.readouterr().out.strip() == f"{100 * accuracy:.2f}"
+    assert main(eval_on + ["source-test"]) == EXIT_VALIDATION
+    assert "synthetic runs have no separate source test set" in capsys.readouterr().err
     # every row train wrote reads back as its step's record
     assert read_metrics(out / "metrics.csv") == [
         {
@@ -129,7 +130,7 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
     for bad in (
         TINY.replace("steps = 3", "steps = lots"),
         TINY.replace("[train]\n", "[train]\ngate = ones\n"),
-        TINY.replace("synthetic_val_size = 16", "synthetic_val_size = 0"),
+        TINY + "\n[data]\nsynthetic_val_size = 16\n",
         TINY.replace("[train]\n", "[train]\nmode = partial_la\n"),
     ):
         config = tmp_path / "bad.ini"
@@ -154,6 +155,9 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
     assert "unknown config key 'standardize' in section [data]" in capsys.readouterr().err
+    stale.write_bytes(hand_built({"config": {"data.synthetic_val_size": "256"}, "params": []}))
+    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
+    assert "unknown config key 'synthetic_val_size' in section [data]" in capsys.readouterr().err
     # a checkpoint from before the partial_la mode was removed echoes it
     stale.write_bytes(hand_built({"config": {"train.mode": "partial_la"}, "params": []}))
     assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
@@ -165,6 +169,16 @@ def test_eval_dataset_outside_the_four_names_exits_2(tmp_path, capsys):
         main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--dataset", "usps-test"])
     assert exc.value.code == 2
     assert "invalid choice: 'usps-test'" in capsys.readouterr().err
+    # so are options that were removed
+    for argv in (
+        ["linear-lab", "--out", str(tmp_path / "x.csv")],
+        ["plot", "--metrics", str(tmp_path / "m.csv"), "--out", str(tmp_path / "c.svg"), "--title", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def hand_built(header) -> bytes:
@@ -226,22 +240,16 @@ def test_corrupt_checkpoint_exits_2(tmp_path, tiny_config, capsys):
 
 
 @pytest.mark.parametrize(
-    "edits, message",
+    "batch, message",
     [
-        ({"batch_size = 16": "batch_size = 64"}, "batch_size 64 exceeds the source dataset size 32"),
-        (
-            {"batch_size = 16": "batch_size = 48", "source_size = 32": "source_size = 64"},
-            "batch_size 48 exceeds the target dataset size 32",
-        ),
+        (40, "batch_size 40 exceeds the source dataset size 32"),
+        (28, "batch_size 28 exceeds the target dataset size 24"),
     ],
     ids=["source", "target"],
 )
-def test_batch_larger_than_a_dataset_exits_1(tmp_path, capsys, edits, message):
-    text = TINY
-    for old, new in edits.items():
-        text = text.replace(old, new)
-    config = tmp_path / "big_batch.ini"
-    config.write_text(text)
+def test_batch_larger_than_a_dataset_exits_1(tmp_path, capsys, batch, message):
+    config = write_data_files(tmp_path)
+    config.write_text(config.read_text().replace("batch_size = 16", f"batch_size = {batch}"))
     assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
@@ -308,6 +316,7 @@ def test_train_then_eval_on_mnist_usps_files(tmp_path, capsys):
     cfg = load_run_config(config)
     data = build_datasets(cfg)
     assert [len(data.source), len(data.target), len(data.val), len(data.test)] == [32, 24, 10, 10]
+    assert data.target.labels is None
     result = train(cfg.train, data, DEFAULT_SPEC)
     assert printed == f"{100 * evaluate(result.params, DEFAULT_SPEC, data.test):.2f}"
 
@@ -319,6 +328,12 @@ def test_eval_reads_only_the_domain_it_scores(tmp_path, capsys, monkeypatch):
         shutil.copy(mnist / f"train-{name}-ubyte.gz", mnist / f"t10k-{name}-ubyte.gz")
     checkpoint = tmp_path / "run" / "checkpoint.ckpt"
     assert run_train(config, tmp_path / "run") == EXIT_OK
+    printed, load_usps = {}, cli.load_usps
+
+    def usps_test_only(path, **kwargs):
+        assert path == tmp_path / "usps/usps.t.bz2", f"{dataset} read {path}"
+        return load_usps(path, **kwargs)
+
     for dataset, other_domain in [
         ("target-test", "load_mnist"),
         ("target-val", "load_mnist"),
@@ -327,13 +342,48 @@ def test_eval_reads_only_the_domain_it_scores(tmp_path, capsys, monkeypatch):
     ]:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", dataset]) == EXIT_OK
-        printed = capsys.readouterr().out
+        printed[dataset] = capsys.readouterr().out
         with monkeypatch.context() as patch:
             patch.setattr(
                 cli, other_domain, lambda *a, **k: pytest.fail(f"{dataset} read {other_domain}")
             )
+            if dataset.startswith("target-"):
+                patch.setattr(cli, "load_usps", usps_test_only)
             assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", dataset]) == EXIT_OK
-        assert capsys.readouterr().out == printed
+        assert capsys.readouterr().out == printed[dataset]
+    # a target set is scored without the adaptation pool's file
+    (tmp_path / "usps/usps.bz2").unlink()
+    for dataset in ("target-test", "target-val"):
+        assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", dataset]) == EXIT_OK
+        assert capsys.readouterr().out == printed[dataset]
+
+
+def test_eval_data_dir_flag_finds_moved_files(tmp_path, capsys):
+    root = tmp_path / "old"
+    root.mkdir()
+    checkpoint = tmp_path / "run" / "checkpoint.ckpt"
+    assert run_train(write_data_files(root), tmp_path / "run") == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(checkpoint)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    moved = tmp_path / "new"
+    root.rename(moved)
+    assert main(["eval", "--checkpoint", str(checkpoint)]) == EXIT_VALIDATION
+    assert "dataset files not found" in capsys.readouterr().err
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(moved)]) == EXIT_OK
+    assert capsys.readouterr().out == printed
+
+
+def test_seed_flag_runs_as_a_config_seed(tmp_path, tiny_config):
+    flagged, configured = tmp_path / "flag", tmp_path / "config"
+    argv = ["train", "--config", str(tiny_config), "--out", str(flagged), "--seed", "5"]
+    assert main(argv) == EXIT_OK
+    assert "seed = 5" in (flagged / "config_echo.ini").read_text().splitlines()
+    assert json.loads((flagged / "manifest.json").read_text())["seed"] == 5
+    seeded = tmp_path / "seeded.ini"
+    seeded.write_text(TINY.replace("[train]\n", "[train]\nseed = 5\n"))
+    assert run_train(seeded, configured) == EXIT_OK
+    assert (flagged / "metrics.csv").read_bytes() == (configured / "metrics.csv").read_bytes()
 
 
 def test_truncated_compressed_data_file_exits_1_naming_it(tmp_path, capsys):

@@ -33,7 +33,7 @@ def test_train_section_mirrors_train_config():
     assert list(_SCHEMA["train"]) == [f.name for f in dataclasses.fields(TrainConfig)]
     defaults = parse_sections({}).train
     assert defaults == TrainConfig()
-    assert sum(len(keys) for keys in _SCHEMA.values()) == 26
+    assert sum(len(keys) for keys in _SCHEMA.values()) == 22
 
 
 @pytest.mark.parametrize("sections", [{}, NON_DEFAULT], ids=["defaults", "non_default"])
@@ -87,8 +87,6 @@ def test_unknown_keys_rejected_on_both_paths(tmp_path, section, key, message):
         ("train", "seed", "-1", "seed must be >= 0"),
         ("data", "dataset", "cifar", "dataset must be one of"),
         ("data", "split_seed", "-1", "split_seed must be >= 0"),
-        ("data", "synthetic_source_size", "-5", "synthetic_source_size must be >= 1"),
-        ("data", "synthetic_test_size", "0", "synthetic_test_size must be >= 1"),
     ],
 )
 def test_bad_values_rejected_on_both_paths(tmp_path, section, key, value, message):

@@ -84,11 +84,14 @@ def test_load_mnist_gzip_transparent(idx_pair, tmp_path):
 
 
 def test_load_mnist_rejects_bad_magic(idx_pair, tmp_path):
-    _, lbl_path, _, _ = idx_pair
+    img_path, lbl_path, _, _ = idx_pair
     bad = tmp_path / "bad"
     bad.write_bytes(struct.pack(">IIII", 0, 1, 2, 2) + b"\x00" * 4)
     with pytest.raises(DataFormatError, match="bad magic 0x00000000 at byte 0"):
         load_mnist(bad, lbl_path)
+    message = r"bad magic 0x00000803 at byte 0 \(expected 0x00000801\)"
+    with pytest.raises(DataFormatError, match=message):
+        load_mnist(img_path, img_path)
 
 
 def test_load_mnist_rejects_truncation(idx_pair, tmp_path):
@@ -98,6 +101,17 @@ def test_load_mnist_rejects_truncation(idx_pair, tmp_path):
     clipped.write_bytes(raw[:-5])
     with pytest.raises(DataFormatError, match=rf"expected {len(raw)} bytes, found {len(raw) - 5}"):
         load_mnist(clipped, lbl_path)
+    clipped.write_bytes(raw[:15])
+    with pytest.raises(DataFormatError, match="truncated header, only 15 bytes"):
+        load_mnist(clipped, lbl_path)
+    raw = lbl_path.read_bytes()
+    for kept, message in (
+        (len(raw) - 1, rf"expected {len(raw)} bytes, found {len(raw) - 1}"),
+        (7, "truncated header, only 7 bytes"),
+    ):
+        clipped.write_bytes(raw[:kept])
+        with pytest.raises(DataFormatError, match=message):
+            load_mnist(img_path, clipped)
 
 
 def gzip_cut_and_flipped(raw: bytes):
@@ -316,24 +330,22 @@ def test_resize_bilinear_corner_alignment():
 
 
 def test_split_target_standard_sizes():
-    train = make_synthetic(7291, seed=0)
     test = make_synthetic(2007, seed=1)
-    adapt, val, held = split_target(train, test, seed=3)
-    assert len(adapt) == 7291 and adapt.labels is None
+    val, held = split_target(test, seed=3)
     assert len(val) == 1003 and len(held) == 1004
+    assert (val.split, held.split) == ("val", "test")
     assert val.labels is not None and held.labels is not None
 
 
 def test_split_target_deterministic_partition():
-    train = make_synthetic(50, seed=0)
     test = make_synthetic(21, seed=1)
     # tag images by index so membership is observable
     test.images[:, 0, 0, 0] = np.arange(21) / 21.0
-    a = split_target(train, test, seed=9)
-    b = split_target(train, test, seed=9)
+    a = split_target(test, seed=9)
+    b = split_target(test, seed=9)
+    np.testing.assert_array_equal(a[0].images, b[0].images)
     np.testing.assert_array_equal(a[1].images, b[1].images)
-    np.testing.assert_array_equal(a[2].images, b[2].images)
-    ids = np.concatenate([a[1].images[:, 0, 0, 0], a[2].images[:, 0, 0, 0]])
+    ids = np.concatenate([a[0].images[:, 0, 0, 0], a[1].images[:, 0, 0, 0]])
     assert len(np.unique(np.round(ids * 21))) == 21  # disjoint and exhaustive
 
 
