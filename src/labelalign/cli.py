@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .autodiff import HEAP_TUNED
 from .checkpoint import CheckpointError, load_checkpoint, restore_params, save_checkpoint
-from .config import DATA_DIR_ENV, RunConfig, config_from_flat, load_run_config
+from .config import RunConfig, config_from_flat, load_run_config
 from .data import (
     DataFormatError,
     ImageDataset,
@@ -70,7 +70,7 @@ def _data_files(cfg: RunConfig, *keys: str) -> list[Path]:
         raise ConfigError(
             "dataset files not found: "
             + ", ".join(missing)
-            + f" (set [data] dir or ${DATA_DIR_ENV}; see README.md for the file layout)"
+            + " (set [data] dir; see README.md for the file layout)"
         )
     return paths
 
@@ -121,13 +121,11 @@ def cmd_train(args) -> int:
     overrides = {}
     if args.seed is not None:
         overrides[("train", "seed")] = str(args.seed)
-    if args.out is not None:
-        overrides[("output", "dir")] = args.out
     cfg = load_run_config(args.config, overrides)
     data = build_datasets(cfg)
     check_run(cfg.train, data, DEFAULT_SPEC)
 
-    out_dir = Path(cfg.output["dir"])
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = cfg.echo_text()
     (out_dir / "config_echo.ini").write_text(echo)
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run a training job from a config file")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out", help="override [output] dir")
+    p_train.add_argument("--out", default="runs/latest", help="run directory (default runs/latest)")
     p_train.add_argument("--seed", type=int, help="override [train] seed")
     p_train.set_defaults(func=cmd_train)
 
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("target-test", "target-val", "source-test", "source-train"),
         help="the set to score (default target-test)",
     )
-    p_eval.add_argument("--data-dir", help="override the checkpoint's data directory")
+    p_eval.add_argument("--data-dir", help="override the checkpoint's [data] dir")
     p_eval.set_defaults(func=cmd_eval)
 
     p_lab = sub.add_parser("linear-lab", help="run the linear identity suite")

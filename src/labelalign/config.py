@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .training import ConfigError, TrainConfig
-
-DATA_DIR_ENV = "LABELALIGN_DATA_DIR"
 
 DATASETS = ("synthetic", "mnist-usps")
 
@@ -44,16 +41,19 @@ _SCHEMA = {
     "train": {f.name: (f.type, f.default) for f in fields(TrainConfig)},
     "data": {
         "dataset": ("str", "synthetic"),
-        "dir": ("str", ""),
-        "mnist_train_images": ("str", "mnist/train-images-idx3-ubyte.gz"),
-        "mnist_train_labels": ("str", "mnist/train-labels-idx1-ubyte.gz"),
-        "mnist_test_images": ("str", "mnist/t10k-images-idx3-ubyte.gz"),
-        "mnist_test_labels": ("str", "mnist/t10k-labels-idx1-ubyte.gz"),
-        "usps_train": ("str", "usps/usps.bz2"),
-        "usps_test": ("str", "usps/usps.t.bz2"),
+        "dir": ("str", "data"),
         "split_seed": ("int", 0),
     },
-    "output": {"dir": ("str", "runs/latest")},
+}
+
+# the standard MNIST and USPS file names, relative to [data] dir
+DATA_FILES = {
+    "mnist_train_images": "mnist/train-images-idx3-ubyte.gz",
+    "mnist_train_labels": "mnist/train-labels-idx1-ubyte.gz",
+    "mnist_test_images": "mnist/t10k-images-idx3-ubyte.gz",
+    "mnist_test_labels": "mnist/t10k-labels-idx1-ubyte.gz",
+    "usps_train": "usps/usps.bz2",
+    "usps_test": "usps/usps.t.bz2",
 }
 
 _PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
@@ -63,11 +63,10 @@ _PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
 class RunConfig:
     train: TrainConfig
     data: dict
-    output: dict
 
     def sections(self) -> dict[str, dict[str, str]]:
         """Every schema value rendered as text, ``{section: {key: value}}``."""
-        values = {"train": vars(self.train), "data": self.data, "output": self.output}
+        values = {"train": vars(self.train), "data": self.data}
         return {
             section: {key: _fmt(values[section][key]) for key in keys}
             for section, keys in _SCHEMA.items()
@@ -93,16 +92,9 @@ class RunConfig:
     def content_hash(self) -> str:
         return hashlib.sha256(self.echo_text().encode("utf-8")).hexdigest()
 
-    def data_dir(self) -> Path:
-        configured = self.data["dir"]
-        if configured:
-            return Path(configured)
-        env = os.environ.get(DATA_DIR_ENV)
-        return Path(env) if env else Path("data")
-
-    def data_path(self, key: str) -> Path:
-        p = Path(self.data[key])
-        return p if p.is_absolute() else self.data_dir() / p
+    def data_path(self, name: str) -> Path:
+        """Where the ``DATA_FILES`` entry ``name`` lives under ``[data] dir``."""
+        return Path(self.data["dir"]) / DATA_FILES[name]
 
 
 def parse_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
@@ -134,17 +126,16 @@ def parse_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
         )
     if parsed["data"]["split_seed"] < 0:
         raise ConfigError(f"split_seed must be >= 0, got {parsed['data']['split_seed']}")
-    return RunConfig(
-        train=TrainConfig(**parsed["train"]).validate(),
-        data=parsed["data"],
-        output=parsed["output"],
-    )
+    return RunConfig(train=TrainConfig(**parsed["train"]).validate(), data=parsed["data"])
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a config file; ``overrides`` maps (section, key) to
-    raw string values (used for CLI flags like --seed/--out)."""
-    parser = configparser.ConfigParser(interpolation=None)
+    raw string values (used for the CLI flag --seed)."""
+    # no default section: configparser would fold a [DEFAULT] section's keys
+    # into every section; as "" can name no section, [DEFAULT] is refused as
+    # an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r") as fh:
             parser.read_file(fh)

@@ -114,29 +114,42 @@ def test_git_revision_is_head_in_a_checkout_and_none_outside(tmp_path):
     assert revision == checkout_head(tmp_path) and len(revision) == 40
 
 
-def test_rerun_from_echo_is_bitwise_identical(tmp_path, tiny_config):
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert run_train(tiny_config, first) == EXIT_OK
-    assert run_train(first / "config_echo.ini", second) == EXIT_OK
-    metrics = (first / "metrics.csv").read_bytes()
-    assert metrics == (second / "metrics.csv").read_bytes()
-    assert len(metrics.splitlines()) == 4  # header plus one row per step
+def test_rerun_from_echo_is_bitwise_identical(tmp_path, tiny_config, monkeypatch):
+    run, rerun = tmp_path / "run", tmp_path / "rerun"
+    assert run_train(tiny_config, run) == EXIT_OK
+    assert run_train(run / "config_echo.ini", rerun) == EXIT_OK
+    for name in ("config_echo.ini", "metrics.csv", "checkpoint.ckpt"):
+        assert (run / name).read_bytes() == (rerun / name).read_bytes(), name
+    assert len((run / "metrics.csv").read_bytes().splitlines()) == 4  # header plus one row per step
+    config_sha256 = [json.loads((d / "manifest.json").read_text())["config_sha256"] for d in (run, rerun)]
+    assert config_sha256[0] == config_sha256[1]
+
+    # the echo names no run directory, so retraining from it without --out
+    # writes to the default one and leaves the run it came from alone
+    written = {path: path.read_bytes() for path in run.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", str(run / "config_echo.ini")]) == EXIT_OK
+    assert {path: path.read_bytes() for path in run.iterdir()} == written
+    assert (tmp_path / "runs/latest/metrics.csv").read_bytes() == written[run / "metrics.csv"]
 
 
 def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
     assert run_train(tmp_path / "missing.ini", tmp_path / "run") == EXIT_VALIDATION
     assert "cannot read config file" in capsys.readouterr().err
 
-    for bad in (
-        TINY.replace("steps = 3", "steps = lots"),
-        TINY.replace("[train]\n", "[train]\ngate = ones\n"),
-        TINY + "\n[data]\nsynthetic_val_size = 16\n",
-        TINY.replace("[train]\n", "[train]\nmode = partial_la\n"),
+    for bad, named in (
+        (TINY.replace("steps = 3", "steps = lots"), "'steps'"),
+        (TINY.replace("[train]\n", "[train]\ngate = ones\n"), "'gate'"),
+        (TINY + "\n[data]\nsynthetic_val_size = 16\n", "'synthetic_val_size'"),
+        (TINY.replace("[train]\n", "[train]\nmode = partial_la\n"), "'partial_la'"),
+        (TINY + "\n[output]\ndir = elsewhere\n", "unknown config section [output]"),
+        (TINY + "\n[data]\nusps_train = usps/usps.bz2\n", "unknown config key 'usps_train'"),
     ):
         config = tmp_path / "bad.ini"
         config.write_text(bad)
         assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
         assert not (tmp_path / "run").exists()
 
     config = tmp_path / "no_files.ini"
@@ -158,6 +171,14 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
     stale.write_bytes(hand_built({"config": {"data.synthetic_val_size": "256"}, "params": []}))
     assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
     assert "unknown config key 'synthetic_val_size' in section [data]" in capsys.readouterr().err
+    # one from before the run directory and the data file names left the
+    # configuration echoes them
+    stale.write_bytes(hand_built({"config": {"output.dir": "runs/latest"}, "params": []}))
+    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
+    assert "unknown config section [output]" in capsys.readouterr().err
+    stale.write_bytes(hand_built({"config": {"data.mnist_train_images": "m.gz"}, "params": []}))
+    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
+    assert "unknown config key 'mnist_train_images' in section [data]" in capsys.readouterr().err
     # a checkpoint from before the partial_la mode was removed echoes it
     stale.write_bytes(hand_built({"config": {"train.mode": "partial_la"}, "params": []}))
     assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +17,10 @@ NON_DEFAULT = {
         "seed": "17",
     },
     "data": {"dataset": "mnist-usps", "dir": "/srv/digits", "split_seed": "4"},
-    "output": {"dir": "runs/x"},
 }
+
+# [DEFAULT] beside [train]: configparser would fold steps and lam into [train]
+DEFAULT_BESIDE_TRAIN = {"DEFAULT": {"steps": "3", "lam": "0.5"}, "train": {"seed": "1"}}
 
 
 def write_ini(path, sections):
@@ -33,7 +36,7 @@ def test_train_section_mirrors_train_config():
     assert list(_SCHEMA["train"]) == [f.name for f in dataclasses.fields(TrainConfig)]
     defaults = parse_sections({}).train
     assert defaults == TrainConfig()
-    assert sum(len(keys) for keys in _SCHEMA.values()) == 22
+    assert sum(len(keys) for keys in _SCHEMA.values()) == 15
 
 
 @pytest.mark.parametrize("sections", [{}, NON_DEFAULT], ids=["defaults", "non_default"])
@@ -45,13 +48,28 @@ def test_echo_and_flat_round_trip(tmp_path, sections):
     assert config_from_flat(cfg.to_flat()) == cfg
     if sections:
         assert cfg.train.lam == 0.25 and cfg.train.timing is False
-        assert cfg.data["split_seed"] == 4 and cfg.output["dir"] == "runs/x"
+        assert cfg.data["split_seed"] == 4 and cfg.data["dir"] == "/srv/digits"
 
 
 def test_overrides_replace_file_values(tmp_path):
     path = write_ini(tmp_path / "run.ini", {"train": {"seed": "3"}})
-    cfg = load_run_config(path, {("train", "seed"): "9", ("output", "dir"): "elsewhere"})
-    assert cfg.train.seed == 9 and cfg.output["dir"] == "elsewhere"
+    cfg = load_run_config(path, {("train", "seed"): "9", ("data", "dir"): "elsewhere"})
+    assert cfg.train.seed == 9 and cfg.data["dir"] == "elsewhere"
+
+
+def test_data_files_keep_the_standard_layout_under_data_dir():
+    layout = {
+        "mnist_train_images": "mnist/train-images-idx3-ubyte.gz",
+        "mnist_train_labels": "mnist/train-labels-idx1-ubyte.gz",
+        "mnist_test_images": "mnist/t10k-images-idx3-ubyte.gz",
+        "mnist_test_labels": "mnist/t10k-labels-idx1-ubyte.gz",
+        "usps_train": "usps/usps.bz2",
+        "usps_test": "usps/usps.t.bz2",
+    }
+    default, moved = parse_sections({}), parse_sections({"data": {"dir": "/srv/digits"}})
+    for name, relative in layout.items():
+        assert default.data_path(name) == Path("data") / relative
+        assert moved.data_path(name) == Path("/srv/digits") / relative
 
 
 @pytest.mark.parametrize(
@@ -62,16 +80,23 @@ def test_overrides_replace_file_values(tmp_path):
         ("train", "learning_rate", "unknown config key"),
         ("bogus", "x", r"unknown config section \[bogus\]"),
         ("data", "standardize", r"unknown config key 'standardize' in section \[data\]"),
-        ("output", "metrics_every", "unknown config key 'metrics_every'"),
-        ("output", "checkpoint_every", "unknown config key 'checkpoint_every'"),
+        ("output", "metrics_every", r"unknown config section \[output\]"),
+        ("output", "checkpoint_every", r"unknown config section \[output\]"),
+        ("DEFAULT", "steps", r"unknown config section \[DEFAULT\]"),
+        pytest.param(
+            DEFAULT_BESIDE_TRAIN, None, r"unknown config section \[DEFAULT\]", id="DEFAULT-beside-train"
+        ),
     ],
 )
 def test_unknown_keys_rejected_on_both_paths(tmp_path, section, key, message):
-    path = write_ini(tmp_path / "run.ini", {section: {key: "1"}})
+    # ``section`` is a whole {section: {key: value}} input where ``key`` is None
+    sections = section if key is None else {section: {key: "1"}}
+    path = write_ini(tmp_path / "run.ini", sections)
     with pytest.raises(ConfigError, match=message):
         load_run_config(path)
+    flat = {f"{name}.{k}": v for name, values in sections.items() for k, v in values.items()}
     with pytest.raises(ConfigError, match=message):
-        config_from_flat({f"{section}.{key}": "1"})
+        config_from_flat(flat)
 
 
 @pytest.mark.parametrize(
