@@ -3,14 +3,15 @@
 Layout (all integers little-endian):
 
     bytes 0..7    magic ``b"LALIGNCK"``
-    bytes 8..11   format version (uint32), currently 1
+    bytes 8..11   format version (uint32), currently 2
     bytes 12..15  header length in bytes (uint32)
     then          UTF-8 JSON header
     then          raw parameter blobs, in header order, little-endian floats
 
-The JSON header holds the echoed run configuration (flat string map), and
-for every parameter its name, shape, dtype and byte offset/length relative
-to the start of the blob region.
+The JSON header holds ``config``, the run's ``config_echo.ini`` text
+verbatim, and for every parameter its name, shape, dtype and byte
+offset/length relative to the start of the blob region.  Version 1 stored
+the configuration as a flat ``section.key`` map and is refused.
 
 Writes go to a temporary file in the target directory that is then renamed
 over the target, so a failed or interrupted save leaves any earlier
@@ -30,7 +31,7 @@ import numpy as np
 from .autodiff import Tensor
 
 MAGIC = b"LALIGNCK"
-VERSION = 1
+VERSION = 2
 _ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes")
 _DTYPES = ("float32", "float64")
 
@@ -39,7 +40,7 @@ class CheckpointError(Exception):
     pass
 
 
-def save_checkpoint(path, params: dict[str, Tensor], config_echo: dict[str, str]):
+def save_checkpoint(path, params: dict[str, Tensor], config_echo: str):
     entries = []
     blobs = []
     offset = 0
@@ -58,7 +59,7 @@ def save_checkpoint(path, params: dict[str, Tensor], config_echo: dict[str, str]
         )
         blobs.append(raw)
         offset += len(raw)
-    header = {"config": dict(config_echo), "params": entries}
+    header = {"config": config_echo, "params": entries}
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -77,7 +78,8 @@ def save_checkpoint(path, params: dict[str, Tensor], config_echo: dict[str, str]
         raise
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
+    """The parameter arrays and the stored config echo text."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:8] != MAGIC:
@@ -94,9 +96,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         raise CheckpointError(f"corrupt checkpoint {path}: unreadable header") from exc
     if not isinstance(header, dict) or not isinstance(header.get("params"), list):
         raise CheckpointError(f"corrupt checkpoint {path}: header has no 'params' list")
-    config = header.get("config", {})
-    if not isinstance(config, dict) or not all(isinstance(v, str) for v in config.values()):
-        raise CheckpointError(f"corrupt checkpoint {path}: 'config' is not a string map")
+    config = header.get("config")
+    if not isinstance(config, str):
+        raise CheckpointError(f"corrupt checkpoint {path}: header has no 'config' text")
     blobs = memoryview(raw)[16 + header_len :]
     arrays = {}
     try:

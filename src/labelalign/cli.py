@@ -8,6 +8,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .autodiff import HEAP_TUNED
 from .checkpoint import CheckpointError, load_checkpoint, restore_params, save_checkpoint
-from .config import RunConfig, config_from_flat, load_run_config
+from .config import RunConfig, load_run_config, parse_run_config
 from .data import (
     DataFormatError,
     ImageDataset,
@@ -41,6 +42,8 @@ EXIT_RUNTIME = 2
 # the checkout a source install runs from: src/labelalign/cli.py -> repo root
 SOURCE_ROOT = Path(__file__).resolve().parents[2]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# what train writes into its run directory
+RUN_FILES = ("config_echo.ini", "manifest.json", "metrics.csv", "checkpoint.ckpt")
 
 
 def git_revision(root: Path = SOURCE_ROOT) -> str | None:
@@ -127,10 +130,15 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a reused run directory keeps nothing of the run before, so a run that
+    # aborts leaves no checkpoint that eval could mistake for its own
+    for name in RUN_FILES:
+        (out_dir / name).unlink(missing_ok=True)
     echo = cfg.echo_text()
+    config_sha256 = hashlib.sha256(echo.encode("utf-8")).hexdigest()
     (out_dir / "config_echo.ini").write_text(echo)
     manifest = {
-        "config_sha256": cfg.content_hash(),
+        "config_sha256": config_sha256,
         "seed": cfg.train.seed,
         "mode": cfg.train.mode,
         "gradient_mode": cfg.train.gradient_mode,
@@ -156,7 +164,7 @@ def cmd_train(args) -> int:
         f"     lam={cfg.train.lam} gamma={cfg.train.gamma} beta={cfg.train.beta} "
         f"alpha={cfg.train.alpha} batch={cfg.train.batch_size} steps={cfg.train.steps}"
     )
-    print(f"     config sha256 {cfg.content_hash()}")
+    print(f"     config sha256 {config_sha256}")
 
     metrics_path = out_dir / "metrics.csv"
     with open(metrics_path, "w", newline="\n") as fh:
@@ -167,7 +175,7 @@ def cmd_train(args) -> int:
 
         result = train(cfg.train, data, DEFAULT_SPEC, on_step=on_step)
 
-    save_checkpoint(out_dir / "checkpoint.ckpt", result.params, cfg.to_flat())
+    save_checkpoint(out_dir / "checkpoint.ckpt", result.params, echo)
     final_val = [r.val_acc for r in result.records if r.val_acc is not None]
     if final_val:
         print(f"final validation accuracy {100 * final_val[-1]:.2f}")
@@ -177,12 +185,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        arrays, flat = load_checkpoint(args.checkpoint)
+        arrays, echo = load_checkpoint(args.checkpoint)
     except FileNotFoundError:
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    cfg = config_from_flat(flat)
+    overrides = {}
     if args.data_dir is not None:
-        cfg.data["dir"] = args.data_dir
+        overrides[("data", "dir")] = args.data_dir
+    cfg = parse_run_config(echo, overrides, f"in checkpoint {args.checkpoint}")
     params = restore_params(arrays, DEFAULT_SPEC.param_shapes())
     ds = _eval_dataset(cfg, args.dataset)
     acc = evaluate(params, DEFAULT_SPEC, ds)

@@ -3,13 +3,14 @@
 Unknown sections or keys are hard errors; a silent hyperparameter typo would
 invalidate a reproduction.  The effective configuration (defaults plus file
 plus CLI overrides) can be re-rendered to text: feeding that echo back in
-reproduces the run bitwise.
+reproduces the run bitwise.  That echo text is the one serialized form of a
+run's configuration; checkpoints store it verbatim and ``eval`` parses it
+with the same rules as a config file.
 """
 
 from __future__ import annotations
 
 import configparser
-import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -81,17 +82,6 @@ class RunConfig:
             lines.append("")
         return "\n".join(lines)
 
-    def to_flat(self) -> dict[str, str]:
-        """Flatten to ``section.key -> formatted value`` (checkpoint echo)."""
-        return {
-            f"{section}.{key}": value
-            for section, values in self.sections().items()
-            for key, value in values.items()
-        }
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.echo_text().encode("utf-8")).hexdigest()
-
     def data_path(self, name: str) -> Path:
         """Where the ``DATA_FILES`` entry ``name`` lives under ``[data] dir``."""
         return Path(self.data["dir"]) / DATA_FILES[name]
@@ -129,20 +119,18 @@ def parse_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
     return RunConfig(train=TrainConfig(**parsed["train"]).validate(), data=parsed["data"])
 
 
-def load_run_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse and validate a config file; ``overrides`` maps (section, key) to
-    raw string values (used for the CLI flag --seed)."""
+def parse_run_config(text: str, overrides: dict | None = None, source: str = "text") -> RunConfig:
+    """Parse and validate INI config text; ``overrides`` maps (section, key)
+    to raw string values (the CLI flags --seed and --data-dir).  ``source``
+    names the text in the malformed-config message."""
     # no default section: configparser would fold a [DEFAULT] section's keys
     # into every section; as "" can name no section, [DEFAULT] is refused as
     # an unknown section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path, "r") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        raise ConfigError(f"malformed config {source}: {exc}") from exc
 
     raw = {section: dict(parser.items(section)) for section in parser.sections()}
     for (section, key), value in (overrides or {}).items():
@@ -150,10 +138,10 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     return parse_sections(raw)
 
 
-def config_from_flat(flat: dict[str, str]) -> RunConfig:
-    """Rebuild a RunConfig from the flattened echo stored in a checkpoint."""
-    raw: dict[str, dict[str, str]] = {}
-    for name, value in flat.items():
-        section, _, key = name.partition(".")
-        raw.setdefault(section, {})[key] = value
-    return parse_sections(raw)
+def load_run_config(path, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate a config file; see :func:`parse_run_config`."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_run_config(text, overrides, f"file {path}")

@@ -29,14 +29,6 @@ class LinearLabError(Exception):
 
 
 @dataclass
-class SolveReport:
-    iterations: int
-    grad_norm: float
-    objective: float
-    converged: bool
-
-
-@dataclass
 class LinearProblem:
     """Synthetic source/target pair with known alignment rank.
 
@@ -54,10 +46,6 @@ class LinearProblem:
     noise: float
     source: SvdFactors
     target: SvdFactors
-
-    @property
-    def n(self) -> int:
-        return self.phi.shape[0]
 
     @property
     def d(self) -> int:
@@ -168,59 +156,20 @@ def alignment_residual(problem: LinearProblem, k: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _combined_gradient(problem: LinearProblem, w: np.ndarray, k: int) -> np.ndarray:
-    src, tgt = problem.source, problem.target
-    wv = src.v.T @ w
-    yu = src.u.T @ problem.y
-    wvt = tgt.v.T @ w
-    g = 2.0 * src.v[:, :k] @ (src.sigma[:k] * (src.sigma[:k] * wv[:k] - yu[:k]))
-    g += 2.0 * tgt.v[:, k:] @ (tgt.sigma[k:] ** 2 * wvt[k:])
-    return g
+def solve_linear_uda(problem: LinearProblem, k: int) -> np.ndarray:
+    """The exact minimiser of the ``combined`` objective.
 
-
-def solve_linear_uda(
-    problem: LinearProblem,
-    k: int,
-    alpha: float,
-    max_iters: int = 20000,
-    tol: float = 1e-6,
-) -> tuple[np.ndarray, SolveReport]:
-    """Gradient descent on the combined objective until the gradient is tiny.
-
-    Raises :class:`LinearLabError` if the objective increases for 100
-    consecutive steps (divergence, typically a too-large step size).
+    That objective is the squared residual of one stacked linear system:
+    the source rows ``diag(sigma_:k) V_:k^T w = (U^T y)_:k`` over the target
+    rows ``diag(sigma~_k:) V~_k:^T w = 0``; one least-squares solve gives its
+    minimum-norm minimiser.
     """
-    if alpha <= 0:
-        raise LinearLabError(f"step size must be positive, got {alpha}")
-    w = np.zeros(problem.d)
-    prev = linear_objective(problem, w, k, "combined")
-    bad_streak = 0
-    grad = _combined_gradient(problem, w, k)
-    it = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while it < max_iters and np.linalg.norm(grad) > tol:
-            w = w - alpha * grad
-            it += 1
-            cur = linear_objective(problem, w, k, "combined")
-            if not np.isfinite(cur):
-                raise LinearLabError(
-                    f"divergence: objective became non-finite at step size {alpha}"
-                )
-            if cur > prev:
-                bad_streak += 1
-                if bad_streak >= 100:
-                    raise LinearLabError(
-                        f"divergence: objective increased for 100 consecutive steps "
-                        f"at step size {alpha}"
-                    )
-            else:
-                bad_streak = 0
-            prev = cur
-            grad = _combined_gradient(problem, w, k)
-    norm = float(np.linalg.norm(grad))
-    return w, SolveReport(
-        iterations=it, grad_norm=norm, objective=prev, converged=norm <= tol
-    )
+    if not 0 <= k <= problem.d:
+        raise LinearLabError(f"k must lie in [0, {problem.d}], got {k}")
+    src, tgt = problem.source, problem.target
+    rows = np.vstack([src.sigma[:k, None] * src.v[:, :k].T, tgt.sigma[k:, None] * tgt.v[:, k:].T])
+    rhs = np.concatenate([src.u[:, :k].T @ problem.y, np.zeros(problem.d - k)])
+    return np.linalg.lstsq(rows, rhs, rcond=None)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,6 @@ class TrainData:
 @dataclass
 class TrainResult:
     params: dict[str, Tensor]
-    spec: ModelSpec
     records: list[MetricsRecord] = field(default_factory=list)
 
 
@@ -274,7 +273,7 @@ def train(
         records.append(record)
         if on_step is not None:
             on_step(record, params)
-    return TrainResult(params=params, spec=spec, records=records)
+    return TrainResult(params=params, records=records)
 
 
 def evaluate(

@@ -20,7 +20,7 @@ from labelalign.checkpoint import (
 )
 from labelalign.model import DEFAULT_SPEC, ModelSpec, build_model
 
-ECHO = {"train.seed": "0"}
+ECHO = "[train]\nseed = 0\n"
 
 
 def test_round_trip_keeps_shapes_and_bits(tmp_path):
@@ -124,7 +124,7 @@ def loads_or_refuses(raw: bytes):
     except CheckpointError:
         return
     assert all(isinstance(a, np.ndarray) for a in arrays.values())
-    assert all(isinstance(v, str) for v in config.values())
+    assert isinstance(config, str)
 
 
 @given(st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: MAGIC + b))
@@ -164,7 +164,7 @@ def test_any_json_in_a_header_field_raises_only_checkpoint_error(data, value):
 
 def first_entry(**changes) -> bytes:
     """A header holding only the first parameter entry, with ``changes``."""
-    return json.dumps({"params": [{**HEADER["params"][0], **changes}]}).encode()
+    return json.dumps({"config": ECHO, "params": [{**HEADER["params"][0], **changes}]}).encode()
 
 
 @pytest.mark.parametrize(
@@ -176,7 +176,7 @@ def first_entry(**changes) -> bytes:
         first_entry(shape=[True, 18]),  # 18 values, as in the entry's [2, 1, 3, 3]
         first_entry(nbytes=float(HEADER["params"][0]["nbytes"])),
         first_entry(shape=[0, 2**70], nbytes=0),
-        json.dumps({"params": [HEADER["params"][0]] * 2}).encode(),
+        json.dumps({"config": ECHO, "params": [HEADER["params"][0]] * 2}).encode(),
     ],
     ids=[
         "deep",

@@ -12,7 +12,7 @@ import pytest
 
 from labelalign import cli
 from labelalign.autodiff import HEAP_TUNED
-from labelalign.checkpoint import MAGIC, VERSION
+from labelalign.checkpoint import MAGIC, VERSION, load_checkpoint
 from labelalign.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -120,6 +120,8 @@ def test_rerun_from_echo_is_bitwise_identical(tmp_path, tiny_config, monkeypatch
     assert run_train(run / "config_echo.ini", rerun) == EXIT_OK
     for name in ("config_echo.ini", "metrics.csv", "checkpoint.ckpt"):
         assert (run / name).read_bytes() == (rerun / name).read_bytes(), name
+    # the checkpoint stores the echo verbatim
+    assert load_checkpoint(run / "checkpoint.ckpt")[1].encode() == (run / "config_echo.ini").read_bytes()
     assert len((run / "metrics.csv").read_bytes().splitlines()) == 4  # header plus one row per step
     config_sha256 = [json.loads((d / "manifest.json").read_text())["config_sha256"] for d in (run, rerun)]
     assert config_sha256[0] == config_sha256[1]
@@ -162,27 +164,21 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
     missing = tmp_path / "none.ckpt"
     assert main(["eval", "--checkpoint", str(missing)]) == EXIT_VALIDATION
 
-    # a checkpoint from before a config key was removed echoes that key
-    stale = tmp_path / "stale.ckpt"
-    stale.write_bytes(hand_built({"config": {"data.standardize": "off"}, "params": []}))
-    capsys.readouterr()
-    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
-    assert "unknown config key 'standardize' in section [data]" in capsys.readouterr().err
-    stale.write_bytes(hand_built({"config": {"data.synthetic_val_size": "256"}, "params": []}))
-    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
-    assert "unknown config key 'synthetic_val_size' in section [data]" in capsys.readouterr().err
-    # one from before the run directory and the data file names left the
-    # configuration echoes them
-    stale.write_bytes(hand_built({"config": {"output.dir": "runs/latest"}, "params": []}))
-    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
-    assert "unknown config section [output]" in capsys.readouterr().err
-    stale.write_bytes(hand_built({"config": {"data.mnist_train_images": "m.gz"}, "params": []}))
-    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
-    assert "unknown config key 'mnist_train_images' in section [data]" in capsys.readouterr().err
-    # a checkpoint from before the partial_la mode was removed echoes it
-    stale.write_bytes(hand_built({"config": {"train.mode": "partial_la"}, "params": []}))
-    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
-    assert "got 'partial_la'" in capsys.readouterr().err
+    # a checkpoint from before a config key, a section or a value was
+    # removed still echoes it, and eval names it as train --config would
+    for echo, named in (
+        ("[data]\nstandardize = off\n", "unknown config key 'standardize' in section [data]"),
+        ("[data]\nsynthetic_val_size = 256\n", "unknown config key 'synthetic_val_size' in section [data]"),
+        ("[output]\ndir = runs/latest\n", "unknown config section [output]"),
+        ("[data]\nmnist_train_images = m.gz\n", "unknown config key 'mnist_train_images' in section [data]"),
+        ("[train]\nmode = partial_la\n", "got 'partial_la'"),
+        ("steps = 3\n", "malformed config in checkpoint"),
+    ):
+        stale = tmp_path / "stale.ckpt"
+        stale.write_bytes(hand_built({"config": echo, "params": []}))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION, echo
+        assert named in capsys.readouterr().err, echo
 
 
 def test_eval_dataset_outside_the_four_names_exits_2(tmp_path, capsys):
@@ -202,10 +198,15 @@ def test_eval_dataset_outside_the_four_names_exits_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-def hand_built(header) -> bytes:
+def hand_built(header, version=VERSION) -> bytes:
     """A checkpoint file with the given JSON header and a 16-byte blob region."""
     payload = json.dumps(header).encode("utf-8")
-    return MAGIC + struct.pack("<II", VERSION, len(payload)) + payload + bytes(16)
+    return MAGIC + struct.pack("<II", version, len(payload)) + payload + bytes(16)
+
+
+def with_params(*entries) -> bytes:
+    """A hand-built checkpoint of the default configuration with ``entries``."""
+    return hand_built({"config": "", "params": list(entries)})
 
 
 def entry(**changes):
@@ -228,24 +229,30 @@ def test_corrupt_checkpoint_exits_2(tmp_path, tiny_config, capsys):
     assert run_train(tiny_config, out) == EXIT_OK
     whole = (out / "checkpoint.ckpt").read_bytes()
     cases = {
-        "garbage": b"not a checkpoint",
-        "cut": whole[: len(whole) // 2],
-        "header_not_object": hand_built([1, 2]),
-        "no_params": hand_built({"config": {}}),
-        "config_not_strings": hand_built({"config": {"train.seed": 0}, "params": []}),
-        "entry_not_object": hand_built({"params": ["k_hat"]}),
-        "entry_without_nbytes": hand_built({"params": [entry(nbytes=None)]}),
-        "negative_offset": hand_built({"params": [entry(offset=-4)]}),
-        "unknown_dtype": hand_built({"params": [entry(dtype="nonsense")]}),
-        "nbytes_not_shape_size": hand_built({"params": [entry(shape=[3], nbytes=4)]}),
-        "blob_past_end": hand_built({"params": [entry(shape=[8], nbytes=32)]}),
+        "garbage": (b"not a checkpoint", "bad magic"),
+        "cut": (whole[: len(whole) // 2], "truncated blob"),
+        "header_not_object": (hand_built([1, 2]), "no 'params' list"),
+        "no_params": (hand_built({"config": ""}), "no 'params' list"),
+        "no_config": (hand_built({"params": []}), "no 'config' text"),
+        "config_as_map": (hand_built({"config": {"train.seed": "0"}, "params": []}), "no 'config' text"),
+        "version_1": (
+            hand_built({"config": {"train.seed": "0"}, "params": []}, version=1),
+            "unsupported version 1",
+        ),
+        "entry_not_object": (with_params("k_hat"), "lacks one of"),
+        "entry_without_nbytes": (with_params(entry(nbytes=None)), "lacks one of"),
+        "negative_offset": (with_params(entry(offset=-4)), "negative or non-integer offset"),
+        "unknown_dtype": (with_params(entry(dtype="nonsense")), "unknown dtype 'nonsense'"),
+        "nbytes_not_shape_size": (with_params(entry(shape=[3], nbytes=4)), "not 12 for [3]"),
+        "blob_past_end": (with_params(entry(shape=[8], nbytes=32)), "truncated blob for 'k_hat'"),
     }
-    for name, raw in cases.items():
+    for name, (raw, fragment) in cases.items():
         path = tmp_path / f"{name}.ckpt"
         path.write_bytes(raw)
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(path)]) == EXIT_RUNTIME, name
-        assert "corrupt checkpoint" in capsys.readouterr().err, name
+        err = capsys.readouterr().err
+        assert "corrupt checkpoint" in err and fragment in err, name
 
     # whole checkpoints with one entry too many, named in the message
     named = {
@@ -283,6 +290,32 @@ def test_diverging_run_exits_2(tmp_path, capsys):
         assert run_train(config, tmp_path / "run") == EXIT_RUNTIME
     # the weights stay finite (about 1e20) and the next forward pass overflows
     assert "step 2: thin_svd input contains non-finite" in capsys.readouterr().err
+
+
+def test_reused_run_directory_keeps_nothing_of_the_run_before(tmp_path, tiny_config, capsys):
+    run = tmp_path / "run"
+    assert run_train(tiny_config, run) == EXIT_OK
+    written = {path: path.read_bytes() for path in run.iterdir()}
+    # a config refused with exit 1 leaves the run it was aimed at as it was
+    refused = tmp_path / "refused.ini"
+    for text in (
+        TINY.replace("steps = 3", "steps = lots"),
+        TINY + f"\n[data]\ndataset = mnist-usps\ndir = {tmp_path / 'nothing'}\n",
+    ):
+        refused.write_text(text)
+        assert run_train(refused, run) == EXIT_VALIDATION
+        assert {path: path.read_bytes() for path in run.iterdir()} == written
+    # a run that starts clears the directory, so one that aborts leaves no
+    # checkpoint of the run before
+    diverge = tmp_path / "diverge.ini"
+    diverge.write_text(TINY.replace("[train]\n", "[train]\nalpha = 1e20\n"))
+    with np.errstate(all="ignore"):
+        assert run_train(diverge, run) == EXIT_RUNTIME
+    assert not (run / "checkpoint.ckpt").exists()
+    assert "alpha = 1e+20" in (run / "config_echo.ini").read_text().splitlines()
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.ckpt")]) == EXIT_VALIDATION
+    assert "checkpoint not found" in capsys.readouterr().err
 
 
 def test_weights_made_non_finite_by_a_step_exit_2_naming_the_step(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import codecs
 import dataclasses
+import locale
 from pathlib import Path
 
 import pytest
 
-from labelalign.config import _SCHEMA, config_from_flat, load_run_config, parse_sections
+from labelalign.config import _SCHEMA, load_run_config, parse_run_config, parse_sections
 from labelalign.training import ConfigError, TrainConfig
 
 NON_DEFAULT = {
@@ -40,12 +42,12 @@ def test_train_section_mirrors_train_config():
 
 
 @pytest.mark.parametrize("sections", [{}, NON_DEFAULT], ids=["defaults", "non_default"])
-def test_echo_and_flat_round_trip(tmp_path, sections):
+def test_echo_round_trip(tmp_path, sections):
     cfg = load_run_config(write_ini(tmp_path / "run.ini", sections))
     echo = tmp_path / "echo.ini"
     echo.write_text(cfg.echo_text())
     assert load_run_config(echo) == cfg
-    assert config_from_flat(cfg.to_flat()) == cfg
+    assert parse_run_config(cfg.echo_text()) == cfg
     if sections:
         assert cfg.train.lam == 0.25 and cfg.train.timing is False
         assert cfg.data["split_seed"] == 4 and cfg.data["dir"] == "/srv/digits"
@@ -88,15 +90,12 @@ def test_data_files_keep_the_standard_layout_under_data_dir():
         ),
     ],
 )
-def test_unknown_keys_rejected_on_both_paths(tmp_path, section, key, message):
+def test_unknown_keys_rejected(tmp_path, section, key, message):
     # ``section`` is a whole {section: {key: value}} input where ``key`` is None
     sections = section if key is None else {section: {key: "1"}}
     path = write_ini(tmp_path / "run.ini", sections)
     with pytest.raises(ConfigError, match=message):
         load_run_config(path)
-    flat = {f"{name}.{k}": v for name, values in sections.items() for k, v in values.items()}
-    with pytest.raises(ConfigError, match=message):
-        config_from_flat(flat)
 
 
 @pytest.mark.parametrize(
@@ -114,12 +113,10 @@ def test_unknown_keys_rejected_on_both_paths(tmp_path, section, key, message):
         ("data", "split_seed", "-1", "split_seed must be >= 0"),
     ],
 )
-def test_bad_values_rejected_on_both_paths(tmp_path, section, key, value, message):
+def test_bad_values_rejected(tmp_path, section, key, value, message):
     path = write_ini(tmp_path / "run.ini", {section: {key: value}})
     with pytest.raises(ConfigError, match=message):
         load_run_config(path)
-    with pytest.raises(ConfigError, match=message):
-        config_from_flat({f"{section}.{key}": value})
 
 
 def test_unreadable_and_malformed_files(tmp_path):
@@ -129,3 +126,16 @@ def test_unreadable_and_malformed_files(tmp_path):
     bad.write_text("steps = 3\n")
     with pytest.raises(ConfigError, match="malformed config file"):
         load_run_config(bad)
+    with pytest.raises(ConfigError, match="malformed config in checkpoint c.ckpt"):
+        parse_run_config("steps = 3\n", source="in checkpoint c.ckpt")
+
+
+@pytest.mark.skipif(
+    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+    reason="config files are read in the locale's encoding",
+)
+def test_undecodable_file_is_unreadable(tmp_path):
+    undecodable = tmp_path / "latin1.ini"
+    undecodable.write_bytes(b"[data]\ndir = \xff\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_run_config(undecodable)
