@@ -449,20 +449,20 @@ def next_batch(
 def make_synthetic(
     count: int,
     seed: int,
-    classes: int = 10,
+    template_seed: int = 0,
     hw: tuple[int, int] = (28, 28),
     domain_shift: float = 0.0,
-    noise: float = 0.15,
     split: str = "train",
 ) -> ImageDataset:
-    """Seeded, learnable fake digits: one random blob template per class plus
-    pixel noise; ``domain_shift`` warps intensities to fake a second domain."""
+    """Seeded, learnable fake digits: one random blob template per class,
+    drawn from ``template_seed``, plus pixel noise; labels and noise come from
+    ``seed``.  Sets built with one ``template_seed`` hold the same ten classes.
+    ``domain_shift`` warps intensities to fake a second domain."""
     h, w = hw
+    templates = np.random.Generator(np.random.PCG64(template_seed)).random((10, h, w)) ** 3
     rng = np.random.Generator(np.random.PCG64(seed))
-    template_rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
-    templates = template_rng.random((classes, h, w)) ** 3
-    labels = rng.integers(0, classes, size=count)
-    images = templates[labels] + noise * rng.random((count, h, w))
+    labels = rng.integers(0, len(templates), size=count)
+    images = templates[labels] + 0.15 * rng.random((count, h, w))
     if domain_shift:
         images = images ** (1.0 + domain_shift)
     images = np.clip(images / images.max(), 0.0, 1.0).astype(np.float32)[:, None]
@@ -472,11 +472,12 @@ def make_synthetic(
 def synthetic_domains(split_seed: int) -> tuple[ImageDataset, ...]:
     """(labeled source, unlabeled target pool, labeled target val, labeled
     target test) of the synthetic domain pair: 512, 512, 256 and 256 images,
-    each split seeded from ``split_seed``, the three target sets shifted by 0.35."""
-    seeds = np.random.SeedSequence(split_seed).generate_state(4)
-    source = make_synthetic(512, int(seeds[0]), split="train")
+    each split seeded from ``split_seed``, all four drawing the same class
+    templates, and the three target sets shifted by 0.35."""
+    *seeds, template_seed = (int(s) for s in np.random.SeedSequence(split_seed).generate_state(5))
+    source = make_synthetic(512, seeds[0], template_seed, split="train")
     target, val, test = (
-        make_synthetic(size, int(seed), domain_shift=0.35, split=split)
+        make_synthetic(size, seed, template_seed, domain_shift=0.35, split=split)
         for size, seed, split in zip((512, 256, 256), seeds[1:], ("train", "val", "test"))
     )
     return source, target.drop_labels(), val, test

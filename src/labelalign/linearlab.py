@@ -7,9 +7,10 @@ This module generates such problems, evaluates every objective form at
 64-bit, and checks the pairwise identities across sizes and seeds.
 
 The matrix forms run training's own filter, :func:`spectral.spectral_filter`,
-with the hard 0/1 gate ``w_i = [i < k]``: the linear theory is stated with
-exact ranks, and a hard gate is the soft gate's limit.  So the identity suite
-checks the filter's sides and split, not the deep objective built on them.
+with the hard 0/1 gate ``w_i = [i < k]`` on the source and its complement
+``[i >= k]`` on the target: the linear theory is stated with exact ranks, and
+a hard gate is the soft gate's limit.  So the identity suite checks the
+filter and the split, not the deep objective built on them.
 """
 
 from __future__ import annotations
@@ -99,10 +100,9 @@ def _terms(problem: LinearProblem, w: np.ndarray, k: int):
     return fit_top, trail_src, trail_tgt, yu
 
 
-def _hard_filter(phi: np.ndarray, k: int, side: str) -> np.ndarray:
-    """``spectral_filter`` of ``phi`` at float64 with the gate ``w_i = [i < k]``."""
-    gate = Tensor(np.arange(min(phi.shape)) < k)
-    return spectral_filter(Tensor(phi), gate, side).data
+def _hard_filter(phi: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``spectral_filter`` of ``phi`` at float64 with the 0/1 gate ``keep``."""
+    return spectral_filter(Tensor(phi), Tensor(keep)).data
 
 
 def _squared_residual(filtered: np.ndarray, w: np.ndarray, y) -> float:
@@ -130,25 +130,17 @@ def linear_objective(problem: LinearProblem, w: np.ndarray, k: int, form: str) -
     w = np.asarray(w, dtype=np.float64)
     if form == "full":
         return float(np.sum((problem.phi @ w - problem.y) ** 2))
+    keep = np.arange(problem.d) < k
     if form == "matrix_top":
-        return _squared_residual(_hard_filter(problem.phi, k, "top"), w, problem.y)
+        return _squared_residual(_hard_filter(problem.phi, keep), w, problem.y)
     if form == "matrix_bottom":
-        return _squared_residual(_hard_filter(problem.phi_tilde, k, "bottom"), w, 0.0)
+        return _squared_residual(_hard_filter(problem.phi_tilde, ~keep), w, 0.0)
     fit_top, trail_src, trail_tgt, _ = _terms(problem, w, k)
     if form == "decomposed":
         return fit_top + trail_src
     if form == "uda":
         return linear_objective(problem, w, k, "full") - trail_src + trail_tgt
     return fit_top + trail_tgt  # combined
-
-
-def alignment_residual(problem: LinearProblem, k: int | None = None) -> float:
-    """max |(U^T y)_i| over indices beyond the alignment rank."""
-    k = problem.k_star if k is None else k
-    yu = problem.source.u.T @ problem.y
-    if k >= problem.d:
-        return 0.0
-    return float(np.abs(yu[k:]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +210,9 @@ def identity_suite(
         k = min(k_star, d)
         for seed in range(seeds):
             problem = gen_synthetic(n, d, k, noise=noise, seed=seed)
-            top = _hard_filter(problem.phi, k, "top")
-            bottom = _hard_filter(problem.phi_tilde, k, "bottom")
+            keep = np.arange(d) < k
+            top = _hard_filter(problem.phi, keep)
+            bottom = _hard_filter(problem.phi_tilde, ~keep)
             rng = np.random.Generator(np.random.PCG64(seed + 7919))
             worst: dict[str, tuple[float, float]] = {}
             for _ in range(draws):

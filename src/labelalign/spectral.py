@@ -7,10 +7,10 @@ A feature matrix ``phi`` (n x d) factors as ``U diag(sigma) V^T`` with
     w_i = 1 / (1 + exp(beta * (i - k*r)))        for i = 1..r
 
 so ``w`` decays from ~1 to ~0 around the real-valued cut index ``k*r``.
-:func:`spectral_filter` takes such a weight tensor: the *top* filter
-reconstructs ``U diag(w * sigma) V^T`` (keeps the leading spectrum), the
-*bottom* filter uses ``(1 - w) * sigma`` (keeps the trailing spectrum); for
-the same ``w`` the two always sum back to the reconstruction of ``phi``.
+:func:`spectral_filter` applies the weights it is given: it reconstructs
+``U diag(w * sigma) V^T``.  Passing ``w`` keeps the leading spectrum; a
+caller that wants the trailing one passes ``1 - w``, built on the tape, and
+the two filters sum back to the reconstruction of ``phi``.
 
 Gradients come in two flavours:
 
@@ -36,7 +36,6 @@ from .autodiff import Tensor, _accumulate, _make, scale, sigmoid, sub
 logger = logging.getLogger(__name__)
 
 GRADIENT_MODES = ("projected", "full")
-FILTER_SIDES = ("top", "bottom")
 
 # relative clamp for 1/(sigma_j^2 - sigma_i^2) in full mode
 _DENOM_CLAMP_REL = 1e-6
@@ -54,20 +53,17 @@ class SvdFactors:
     sigma: np.ndarray
     v: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return self.sigma.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
 
 
 def thin_svd(phi) -> SvdFactors:
-    """Deterministic thin SVD of a real matrix.
+    """Thin SVD of a real matrix.
 
-    The sign ambiguity is fixed by making the largest-magnitude entry of each
-    column of ``v`` nonnegative (first index wins ties), so identical inputs
-    always yield identical factors.
+    The sign of each singular pair ``(u_i, v_i)`` is LAPACK's.  Nothing
+    depends on it: the filter and both its gradient modes use a pair only in
+    products that hold both of its vectors, or one of them twice, so negating
+    a pair changes no bit of their results (IEEE negation is exact).
     """
     a = phi.data if isinstance(phi, Tensor) else np.asarray(phi)
     if a.ndim != 2:
@@ -85,12 +81,7 @@ def thin_svd(phi) -> SvdFactors:
             f"{a.shape}, frobenius norm {np.linalg.norm(a):.6g}, "
             f"max |entry| {np.abs(a).max():.6g}"
         ) from exc
-    v = vt.T
-    anchor = np.abs(v).argmax(axis=0)
-    flip = v[anchor, np.arange(v.shape[1])] < 0
-    v[:, flip] *= -1
-    u[:, flip] *= -1
-    return SvdFactors(u=u, sigma=s, v=v)
+    return SvdFactors(u=u, sigma=s, v=vt.T)
 
 
 # ---------------------------------------------------------------------------
@@ -159,46 +150,37 @@ def _svd_backward(u, s, v, du, ds, dv):
 # ---------------------------------------------------------------------------
 
 
-def _filter_node(phi: Tensor, factors: SvdFactors, w: Tensor, side: str, mode: str) -> Tensor:
+def spectral_filter(phi: Tensor, w: Tensor, mode: str = "projected") -> Tensor:
+    """Gate-weighted spectral reconstruction ``U diag(w * sigma) V^T`` of
+    ``phi``.
+
+    ``w`` is a weight tensor of length ``min(phi.shape)``: the gate from
+    :func:`gate_weights` keeps the leading spectrum, and ``1 - w`` the
+    trailing one.
+    """
+    if mode not in GRADIENT_MODES:
+        raise SpectralError(f"unknown gradient mode '{mode}'")
+    factors = thin_svd(phi)
     u, s, v = factors.u, factors.sigma, factors.v
-    w_applied = w.data if side == "top" else 1.0 - w.data
-    s_used = w_applied * s
-    out_data = (u * s_used) @ v.T
-    w_sign = 1.0 if side == "top" else -1.0
+    w_data = w.data  # read once here: the backward pass may find w released
+    if w_data.shape != s.shape:
+        raise SpectralError(
+            f"gate weights shape {w_data.shape} does not match spectrum length {s.shape[0]}"
+        )
+    s_used = w_data * s
 
     def backward(out):
         g = out.grad
         m = u.T @ g @ v  # r x r, shared by the w-gradient and full mode
         if w.requires_grad:
-            _accumulate(w, w_sign * s * np.diagonal(m))
+            _accumulate(w, s * np.diagonal(m))
         if phi.requires_grad:
             if mode == "projected":
-                proj = (v * w_applied) @ v.T
-                _accumulate(phi, g @ proj)
+                _accumulate(phi, g @ ((v * w_data) @ v.T))
             else:
                 du = g @ (v * s_used)
                 dv = g.T @ (u * s_used)
-                ds = w_applied * np.diagonal(m)
+                ds = w_data * np.diagonal(m)
                 _accumulate(phi, _svd_backward(u, s, v, du, ds, dv))
 
-    return _make(out_data, (phi, w), backward)
-
-
-def spectral_filter(phi: Tensor, w: Tensor, side: str, mode: str = "projected") -> Tensor:
-    """Gate-weighted spectral reconstruction of ``phi``.
-
-    ``side='top'`` keeps the leading spectrum (weights ``w``), ``'bottom'``
-    the trailing one (weights ``1 - w``); the two sides sum to the
-    reconstruction of ``phi``.  ``w`` is a weight tensor of length
-    ``min(phi.shape)``, usually from :func:`gate_weights`.
-    """
-    if side not in FILTER_SIDES:
-        raise SpectralError(f"unknown filter side '{side}'")
-    if mode not in GRADIENT_MODES:
-        raise SpectralError(f"unknown gradient mode '{mode}'")
-    factors = thin_svd(phi)
-    if w.data.shape != (factors.rank,):
-        raise SpectralError(
-            f"gate weights shape {w.data.shape} does not match spectrum length {factors.rank}"
-        )
-    return _filter_node(phi, factors, w, side, mode)
+    return _make((u * s_used) @ v.T, (phi, w), backward)

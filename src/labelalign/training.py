@@ -2,16 +2,16 @@
 
 Per step: sample a labeled source batch and an unlabeled target batch, push
 both through the feature extractor, build one gate ``w`` from the learnable
-cut ``k = sigmoid(k_hat)``, split both feature matrices spectrally with that
-same ``w``, then minimize
+cut ``k = sigmoid(k_hat)``, filter the source features spectrally with ``w``
+and the target features with ``1 - w``, then minimize
 
-    CE(g(top(source))) + lam * ||softmax(g(bottom(target)))||^2 + gamma * k^2
+    CE(g(F_w(source))) + lam * ||softmax(g(F_{1-w}(target)))||^2 + gamma * k^2
 
-where ``CE`` is the softmax cross-entropy and ``k`` is the normalized gate
-position.  The top filter keeps the leading spectrum of the source features,
-the bottom filter the trailing spectrum of the target features; the alignment
-term, smallest at a uniform softmax, drives ``g`` to no class preference
-there, suppressing directions carrying no label variation.
+where ``F_w`` is :func:`spectral.spectral_filter` with weights ``w``, ``CE``
+is the softmax cross-entropy and ``k`` is the normalized gate position.  The
+source keeps its leading spectrum, the target its trailing spectrum; the
+alignment term, smallest at a uniform softmax, drives ``g`` to no class
+preference there, suppressing directions carrying no label variation.
 
 Imani et al.'s linear method (arXiv 2211.14960), which this generalises,
 penalises a regressor's bias-free ``||bottom(phi_t) @ w||^2``.  Here the head
@@ -19,8 +19,9 @@ is a classifier with a bias and a softmax, and a penalty on class
 probabilities stays at most 1 per row whatever the scale of the features or
 the head, so ``lam`` alone sets its weight against the cross-entropy; the
 price is a weak gradient near a uniform softmax.  :mod:`.linearlab` runs
-``spectral_filter`` with hard 0/1 gates, so its identity suite verifies the
-filter's sides and split, not this objective (softmax, bias, soft gate).
+``spectral_filter`` with a hard 0/1 gate and its complement, so its identity
+suite verifies the filter and the split, not this objective (softmax, bias,
+soft gate).
 
 Modes:
 
@@ -152,9 +153,10 @@ def dla_loss(
     """One objective evaluation; returns the total loss tensor, the raw loss
     parts, and the detached source probabilities (for batch accuracy).
 
-    One gate ``w`` serves both the source top and the target bottom filter, so
-    both feature matrices need the same ``min(rows, features)``; ``train``
-    ensures it, and a direct call that does not fails the filter's shape check.
+    One gate ``w`` serves both the source filter and, as ``1 - w``, the target
+    filter, so both feature matrices need the same ``min(rows, features)``;
+    ``train`` ensures it, and a direct call that does not fails the filter's
+    shape check.
     """
     if len(source_images) == 0:
         raise ConfigError("source batch is empty")
@@ -167,14 +169,14 @@ def dla_loss(
     phi = forward_features(params, spec, Tensor(np.asarray(source_images, dtype=dtype)))
     if adapt:
         w = spectral.gate_weights(k, cfg.beta, min(phi.shape))
-        phi = spectral_filter(phi, w, "top", cfg.gradient_mode)
+        phi = spectral_filter(phi, w, cfg.gradient_mode)
     cls_t, probs = ad.softmax_cross_entropy(forward_head(params, phi), source_labels)
 
     total_t, align, k_reg = cls_t, 0.0, 0.0
     if adapt:
         phi_t = forward_features(params, spec, Tensor(np.asarray(target_images, dtype=dtype)))
-        phi_bottom = spectral_filter(phi_t, w, "bottom", cfg.gradient_mode)
-        align_t = ad.mean_squared_norm(ad.softmax(forward_head(params, phi_bottom)))
+        phi_t = spectral_filter(phi_t, ad.sub(np.ones((), dtype), w), cfg.gradient_mode)
+        align_t = ad.mean_squared_norm(ad.softmax(forward_head(params, phi_t)))
         total_t = ad.add(total_t, ad.scale(align_t, cfg.lam))
         kreg_t = ad.mul(k, k)
         total_t = ad.add(total_t, ad.scale(kreg_t, cfg.gamma))

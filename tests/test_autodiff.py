@@ -650,11 +650,13 @@ RELEASE_CASES = {
     "conv2d_pad1": ([(2, 6, 6, 3), (4, 2, 3, 3)], lambda x, k: ad.conv2d(x, k, padding=1)),
     "spectral_filter_projected": (
         [(6, 4), (4,)],
-        lambda phi, w: spectral.spectral_filter(phi, ad.sigmoid(w), "top", "projected"),
+        lambda phi, w: spectral.spectral_filter(phi, ad.sigmoid(w), "projected"),
     ),
     "spectral_filter_full": (
         [(6, 4), (4,)],
-        lambda phi, w: spectral.spectral_filter(phi, ad.sigmoid(w), "bottom", "full"),
+        lambda phi, w: spectral.spectral_filter(
+            phi, ad.sub(np.ones((), w.dtype), ad.sigmoid(w)), "full"
+        ),
     ),
 }
 

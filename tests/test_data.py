@@ -22,6 +22,7 @@ from labelalign.data import (
     next_batch,
     resize_bilinear,
     split_target,
+    synthetic_domains,
 )
 
 
@@ -411,6 +412,24 @@ def test_make_synthetic_deterministic_and_in_range():
     np.testing.assert_array_equal(a.labels, b.labels)
     assert a.images.min() >= 0.0 and a.images.max() <= 1.0
     assert a.provenance == "synthetic"
+
+
+def class_means(dataset):
+    return np.stack([dataset.images[dataset.labels == c, 0].mean(axis=0) for c in range(10)])
+
+
+def test_synthetic_sets_share_the_class_templates_of_their_template_seed():
+    a = class_means(make_synthetic(400, seed=1, template_seed=5))
+    b = class_means(make_synthetic(400, seed=2, template_seed=5))
+    other = class_means(make_synthetic(400, seed=2, template_seed=6))
+    assert np.abs(a - b).max() < 0.05
+    assert np.abs(a - other).max() > 0.5
+    # every split of one split_seed draws the same templates, so each class
+    # mean of the warped target test set lies closest to its own source class
+    source, _, _, test = synthetic_domains(3)
+    flat_source, flat_test = class_means(source).reshape(10, -1), class_means(test).reshape(10, -1)
+    corr = np.corrcoef(flat_source, flat_test)[:10, 10:]
+    np.testing.assert_array_equal(corr.argmax(axis=0), np.arange(10))
 
 
 def test_dataset_invariants_enforced():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelalign import autodiff as ad
+from labelalign import spectral
 from labelalign.autodiff import Tensor, backward
 from labelalign.spectral import SpectralError, gate_weights, spectral_filter, thin_svd
 
@@ -34,8 +35,15 @@ def gate_for(k, beta, grad=True):
     return Gate(k_hat=t64(np.log(k / (1.0 - k)), grad=grad), beta=beta)
 
 
+def complement(w):
+    """``1 - w`` on the tape: the weights that keep the trailing spectrum."""
+    return ad.sub(np.ones((), w.dtype), w)
+
+
 def gate_filter(phi, gate, side, mode="projected"):
-    return spectral_filter(phi, gate.weights(min(phi.shape)), side, mode)
+    """The filter with the gate's weights ``w`` (``top``) or ``1 - w`` (``bottom``)."""
+    w = gate.weights(min(phi.shape))
+    return spectral_filter(phi, w if side == "top" else complement(w), mode)
 
 
 def weights_oracle(k_hat, beta, r):
@@ -61,8 +69,6 @@ def test_thin_svd_diagonal_case():
     np.testing.assert_allclose(f.sigma, [3.0, 2.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(np.abs(f.u), np.eye(3), atol=1e-12)
     np.testing.assert_allclose(np.abs(f.v), np.eye(3), atol=1e-12)
-    # sign convention: dominant entries of v are nonnegative
-    assert (f.v[np.abs(f.v).argmax(axis=0), np.arange(3)] >= 0).all()
 
 
 def test_thin_svd_identity():
@@ -193,9 +199,9 @@ def test_all_ones_gate_returns_input():
     rng = np.random.default_rng(12)
     phi = t64(rng.standard_normal((9, 6)))
     w = t64(np.ones(6))
-    out = spectral_filter(phi, w, "top")
+    out = spectral_filter(phi, w)
     assert rel_err(out.data, phi.data) <= 1e-6
-    bottom = spectral_filter(phi, w, "bottom")
+    bottom = spectral_filter(phi, complement(w))
     assert np.abs(bottom.data).max() <= 1e-12
 
 
@@ -242,11 +248,39 @@ def test_filter_rejects_bad_arguments():
     phi = t64(np.ones((3, 3)))
     gate = gate_for(0.5, beta=5.0)
     with pytest.raises(SpectralError):
-        gate_filter(phi, gate, "middle")
-    with pytest.raises(SpectralError):
         gate_filter(phi, gate, "top", "half")
     with pytest.raises(SpectralError):
-        spectral_filter(phi, t64(np.ones(5)), "top")
+        spectral_filter(phi, t64(np.ones(5)))
+
+
+@pytest.mark.parametrize("mode", ["projected", "full"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_filter_keeps_its_bits_when_singular_pairs_flip_sign(monkeypatch, mode, dtype):
+    # thin_svd returns LAPACK's signs; the filter pairs u_i with v_i (and v_i
+    # with itself) everywhere, so negating a pair changes no output bit
+    rng = np.random.default_rng(23)
+    phi0 = rng.standard_normal((12, 7)).astype(dtype)
+    w0 = rng.uniform(0.0, 1.0, 7).astype(dtype)
+    upstream = Tensor(rng.standard_normal((12, 7)).astype(dtype))
+
+    def run():
+        phi, w = Tensor(phi0, requires_grad=True), Tensor(w0, requires_grad=True)
+        out = spectral_filter(phi, w, mode)
+        backward(ad.tsum(ad.mul(out, upstream)))
+        return out.data.tobytes(), phi.grad.tobytes(), w.grad.tobytes()
+
+    kept = run()
+    real = spectral.thin_svd
+
+    def flipped(phi):
+        factors = real(phi)
+        flip = np.arange(len(factors.sigma)) % 3 != 1
+        factors.u[:, flip] *= -1  # in place, so the arrays keep their layout
+        factors.v[:, flip] *= -1
+        return factors
+
+    monkeypatch.setattr(spectral, "thin_svd", flipped)
+    assert run() == kept
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +295,7 @@ def test_projected_gradient_wrt_phi(side, shape):
     phi0 = rng.standard_normal(shape)
     factors = thin_svd(phi0)
     gate = gate_for(0.45, beta=6.0)
-    w0 = weights_oracle(float(gate.k_hat.data), 6.0, factors.rank)
+    w0 = weights_oracle(float(gate.k_hat.data), 6.0, len(factors.sigma))
     w_applied = w0 if side == "top" else 1.0 - w0
     proj = (factors.v * w_applied) @ factors.v.T
 
@@ -290,7 +324,7 @@ def test_projected_gradient_wrt_k_hat(side):
     backward(ad.tsum(ad.mul(out, out)))
 
     def frozen(k_hat_arr):
-        w = weights_oracle(float(k_hat_arr), beta, factors.rank)
+        w = weights_oracle(float(k_hat_arr), beta, len(factors.sigma))
         wa = w if side == "top" else 1.0 - w
         filtered = (factors.u * (wa * factors.sigma)) @ factors.v.T
         return float((filtered * filtered).sum())
@@ -320,7 +354,7 @@ def test_full_gradient_wrt_phi(side, shape):
 
     def true_loss(arr):
         f = thin_svd(arr)
-        w = weights_oracle(k_hat0, beta, f.rank)
+        w = weights_oracle(k_hat0, beta, len(f.sigma))
         wa = w if side == "top" else 1.0 - w
         filtered = (f.u * (wa * f.sigma)) @ f.v.T
         return float((filtered * filtered).sum())
@@ -342,7 +376,7 @@ def test_full_gradient_wrt_k_hat():
 
     def true_loss(k_hat_arr):
         f = thin_svd(phi0)
-        w = weights_oracle(float(k_hat_arr), beta, f.rank)
+        w = weights_oracle(float(k_hat_arr), beta, len(f.sigma))
         filtered = (f.u * (w * f.sigma)) @ f.v.T
         return float((filtered * filtered).sum())
 

@@ -10,7 +10,7 @@ from conftest import numeric_grad, rel_err
 from labelalign import autodiff as ad
 from labelalign import training
 from labelalign.autodiff import Tensor
-from labelalign.data import make_synthetic
+from labelalign.data import make_synthetic, synthetic_domains
 from labelalign.model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
 from labelalign.spectral import SpectralError
 from labelalign.training import ConfigError, TrainConfig, TrainData, dla_loss, evaluate, train, trainable_names
@@ -103,22 +103,23 @@ def test_evaluate_records_no_tape_and_keeps_the_accuracy(monkeypatch):
 
 
 # (total, k, src_acc) per step of a float64 run at batch 16 on synthetic data,
-# recorded at commit d0847ce; a reordered sum moves these by ~1e-14, well
-# inside the tolerance, while a change to the math moves them far beyond it
+# recorded when make_synthetic began drawing every set's class templates from
+# one template_seed; a reordered sum moves these by ~1e-14, well inside the
+# tolerance, while a change to the math moves them far beyond it
 GOLDEN = {
     "dla": [
-        (3.24067517126862, 0.5989873728494957, 0.0),
-        (2.8590528384905154, 0.5987471494348179, 0.0625),
-        (2.625514579803377, 0.5985627361130906, 0.125),
-        (2.430635892125545, 0.5983553406030397, 0.125),
-        (3.079794420219808, 0.5981596302254049, 0.125),
+        (3.160489595313907, 0.5989873728494957, 0.0),
+        (2.3767786520003003, 0.5987471518292687, 0.25),
+        (2.1838430330408496, 0.5985598755213859, 0.1875),
+        (2.1927487627046176, 0.5983767535232077, 0.3125),
+        (2.4383236639619064, 0.5981841050463722, 0.1875),
     ],
     "no_adapt": [
-        (3.242059390854008, 0.5989873728494957, 0.0),
-        (3.2268023730611186, 0.5989873728494957, 0.1875),
-        (4.298950300330786, 0.5989873728494957, 0.0625),
-        (2.0087595849918927, 0.5989873728494957, 0.375),
-        (3.263034812000712, 0.5989873728494957, 0.3125),
+        (3.1609771638135777, 0.5989873728494957, 0.0),
+        (3.1384212092053114, 0.5989873728494957, 0.25),
+        (4.122567615846815, 0.5989873728494957, 0.0625),
+        (2.0505043245463295, 0.5989873728494957, 0.1875),
+        (2.82286318163208, 0.5989873728494957, 0.375),
     ],
 }
 
@@ -133,6 +134,16 @@ def test_float64_golden_run(mode):
     )
     got = [(r.parts.total, r.parts.k, r.src_acc) for r in train(cfg, data).records]
     np.testing.assert_allclose(got, GOLDEN[mode], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("split_seed", [0, 1, 2])
+def test_short_source_only_run_classifies_the_synthetic_target(split_seed):
+    # the splits share their class templates, and the 0.35 warp keeps each
+    # class apart; when every split drew its own templates this scored chance
+    source, _, _, test = synthetic_domains(split_seed)
+    cfg = TrainConfig(mode="no_adapt", batch_size=32, steps=20, val_every=0, timing=False)
+    result = train(cfg, TrainData(source=source))
+    assert evaluate(result.params, DEFAULT_SPEC, test) >= 0.9
 
 
 @pytest.mark.skipif(
