@@ -6,9 +6,11 @@ sparse attribute text format (one sample per line: label then ``index:value``
 pairs, 256 attributes for 16x16 pixels in [-1, 1], labels 1..10); they are
 range-mapped to [0, 1], relabeled to digits 0..9 and upsampled to 28x28 with
 corner-aligned bilinear interpolation.  The text is parsed in blocks of whole
-lines: numpy finds a block's token spans and colons and checks their shape,
-and one ``np.fromstring`` reads every number of the block.  A synthetic
-generator provides seeded, learnable stand-in datasets for tests and smoke runs.
+lines: numpy checks a whole block at once (its token spans, colons and keys,
+one ``np.fromstring`` of its numbers, their ranges), and only a block that
+fails a check is read again, one token at a time, to name its first bad token.
+A synthetic generator provides seeded, learnable stand-in datasets for tests
+and smoke runs.
 """
 
 from __future__ import annotations
@@ -149,10 +151,6 @@ def load_mnist(image_path, label_path, split: str = "train") -> ImageDataset:
 # bytes other than space and newline that str.split() counts as whitespace
 _OTHER_SPACES = b"\t\x0b\x0c\x1c\x1d\x1e\x1f"
 _TO_SPACE = bytes.maketrans(_OTHER_SPACES, b" " * len(_OTHER_SPACES))
-_DIGIT = np.zeros(256, dtype=bool)
-_DIGIT[ord("0") : ord("9") + 1] = True
-_SIGN = np.zeros(256, dtype=bool)
-_SIGN[[ord("+"), ord("-")]] = True
 
 
 def _read_text(path) -> bytes:
@@ -173,146 +171,109 @@ def _read_text(path) -> bytes:
     return text
 
 
-def _read_numbers(text: bytes) -> np.ndarray:
-    """Every number in space-separated ``text``; ValueError if some token is
-    not one number."""
+def _read_numbers(text: bytes) -> np.ndarray | None:
+    """Every number in space-separated ``text``, or None if some token is not
+    one number."""
     # older NumPy only warns on text it cannot read and returns the numbers
     # before it, where newer NumPy raises ValueError
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         try:
             return np.fromstring(text, sep=" ")
-        except DeprecationWarning as exc:
-            raise ValueError(str(exc)) from exc
+        except (ValueError, DeprecationWarning):
+            return None
 
 
-def _first_true(mask: np.ndarray) -> int:
-    """Index of the first True in ``mask``, or its length if there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else mask.size
+def _signed_digits(first: np.ndarray, later: np.ndarray) -> bool:
+    """Whether keys with first bytes ``first`` and later bytes ``later``
+    (uint8 codes) are each an optional sign, then digits."""
+    digits = np.concatenate((first[(first != ord("+")) & (first != ord("-"))], later))
+    return bool(np.all((digits >= ord("0")) & (digits <= ord("9"))))
 
 
-class _Tokens:
-    """Whitespace-separated tokens of a sparse text: byte spans and lines.
+def _read_sparse(text: bytes):
+    """(labels, rows, indices, values) of sparse ``label index:value`` text:
+    each non-blank line's label, and each pair's line among those, index and
+    value; None if the text fails a check.  Each check covers the whole text
+    at once and only answers yes or no."""
+    # framed by newlines, the token spans alternate start, end
+    framed = b"".join((b"\n", text.translate(_TO_SPACE), b"\n"))
+    buf = np.frombuffer(framed, dtype=np.uint8)
+    space = (buf == ord(" ")) | (buf == ord("\n"))
+    starts, ends = (np.flatnonzero(space[1:] != space[:-1]) + 1).reshape(-1, 2).T
+    del space
+    if not len(starts):  # np.fromstring reads bare whitespace as [-1.]
+        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+    # a line's first token is its label and every other token a pair
+    first = np.searchsorted(starts, np.flatnonzero(buf == ord("\n")))
+    is_pair = np.ones(len(starts), dtype=bool)
+    is_pair[first[first < len(starts)]] = False
+    pairs, colons = starts[is_pair], np.flatnonzero(buf == ord(":"))
+    # pair i holds colon i after its first byte and before its last, so no
+    # label holds a colon and no pair two
+    if len(colons) != len(pairs) or np.any((colons <= pairs) | (colons >= ends[is_pair] - 1)):
+        return None
+    rest = colons - pairs - 1  # key bytes after the first
+    later = np.repeat(colons - np.cumsum(rest), rest) + np.arange(rest.sum())
+    if not _signed_digits(buf[pairs], buf[later]):
+        return None
+    numbers = _read_numbers(framed.replace(b":", b" "))
+    if numbers is None or len(numbers) != len(starts) + len(pairs):
+        return None
+    of_pair = np.repeat(is_pair, np.where(is_pair, 2, 1))
+    labels = numbers[~of_pair]
+    index, value = numbers[of_pair].reshape(-1, 2).T
+    label_ok = (labels >= 1.0) & (labels < 11.0)  # int(float(label)) in 1..10
+    if not (label_ok.all() and np.all((index >= 1.0) & (index <= 256.0) & np.isfinite(value))):
+        return None
+    labels_at = np.flatnonzero(~is_pair)
+    rows = np.repeat(np.arange(len(labels_at)), np.diff(labels_at, append=len(starts)) - 1)
+    return labels, rows, index, value
 
-    The text is framed by newlines, so spans alternate start, end; each line's
-    first token is its label and every other token an ``index:value`` pair.
-    """
 
-    def __init__(self, text: bytes):
-        self.text = b"".join((b"\n", text.translate(_TO_SPACE), b"\n"))
-        self.buf = np.frombuffer(self.text, dtype=np.uint8)
-        space = (self.buf == ord(" ")) | (self.buf == ord("\n"))
-        edges = np.flatnonzero(space[1:] != space[:-1]) + 1
-        del space
-        self.starts, self.ends = edges[0::2], edges[1::2]
-        # the first token after a newline is a line's label
-        first = np.searchsorted(self.starts, np.flatnonzero(self.buf == ord("\n")))
-        self.is_label = np.zeros(len(self.starts), dtype=bool)
-        self.is_label[first[first < len(self.starts)]] = True
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def line(self, t: int) -> int:
-        """The 1-based line number of token ``t``."""
-        return self.text.count(b"\n", 0, self.starts[t])
-
-    def span(self, first: int, stop: int) -> bytes:
-        """Tokens ``first`` to ``stop - 1`` with the pair colons as spaces."""
-        if stop <= first:
-            return b""
-        return self.text[self.starts[first] : self.ends[stop - 1]].replace(b":", b" ")
-
-    def token(self, t: int) -> str:
-        return self.text[self.starts[t] : self.ends[t]].decode("utf-8", "replace")
-
-    def first_malformed(self) -> int:
-        """The first label holding a colon, or pair not shaped ``key:value``
-        with one colon, a signed-digits key and a value; ``len(self)`` if none."""
-        pairs = np.flatnonzero(~self.is_label)
-        colons = np.flatnonzero(self.buf == ord(":"))
-        # while the text is well formed, pair i holds colon i after its first
-        # byte and before its last, so no label holds a colon and no pair two;
-        # the first fault is pair i or the token holding colon i
-        n = min(len(pairs), len(colons))
-        starts, at = self.starts[pairs[:n]], colons[:n]
-        i = _first_true((at <= starts) | (at >= self.ends[pairs[:n]] - 1))
-        bad = min(
-            int(pairs[i]) if i < len(pairs) else len(self),
-            int(np.searchsorted(self.starts, colons[i], "right")) - 1 if i < len(colons) else len(self),
-        )
-        # a key is an optional sign, then digits (a lone sign is no number):
-        # check its first byte, then gather every later one
-        starts, rest = starts[:i], at[:i] - starts[:i] - 1  # key bytes after the first
-        del colons, at
-        ok = _DIGIT[self.buf[starts]] | _SIGN[self.buf[starts]]
-        later = np.repeat(starts + 1 - np.cumsum(rest) + rest, rest)
-        later += np.arange(len(later))
-        ok[np.searchsorted(starts, later[~_DIGIT[self.buf[later]]], "right") - 1] = False
-        j = _first_true(~ok)
-        return min(bad, int(pairs[j])) if j < i else bad
-
-    def numbers(self, stop: int):
-        """(numbers, count) of the first ``count`` tokens, where ``count`` is
-        ``stop`` unless a label, index or value among them is not one number
-        (sep=" " needs a space between numbers); the span that fails is
-        halved until one token is left."""
-        try:
-            return _read_numbers(self.span(0, stop)), stop
-        except ValueError:
-            first = 0
-        while stop - first > 1:
-            mid = (first + stop) // 2
-            try:
-                _read_numbers(self.span(first, mid))
-                first = mid
-            except ValueError:
-                stop = mid
-        return _read_numbers(self.span(0, first)), first
+def _fault(path, text: bytes, lines_before: int) -> DataFormatError:
+    """The error naming the first bad token of sparse ``text``: the first line
+    that fails :func:`_read_sparse` is read again one token at a time."""
+    for line, row in enumerate(text.split(b"\n"), lines_before + 1):
+        # a 1 MB block read token by token takes seconds; a line, milliseconds
+        if _read_sparse(row) is not None:
+            continue
+        where = f"{path}:{line}"
+        for t, token in enumerate(row.translate(_TO_SPACE).split()):
+            shown = token.decode("utf-8", "replace")
+            if t == 0:
+                label = _read_numbers(token)
+                if label is None or not np.isfinite(label[0]):
+                    return DataFormatError(f"{where}: unparsable label '{shown}'")
+                if not 1.0 <= label[0] < 11.0:
+                    return DataFormatError(f"{where}: label {int(label[0])} outside 1..10")
+                continue
+            # one colon, after the key's first byte and before the value's last
+            key, _, value = token.partition(b":")
+            codes = np.frombuffer(key, dtype=np.uint8)
+            well_formed = key and value and b":" not in value and _signed_digits(codes[:1], codes[1:])
+            numbers = _read_numbers(key + b" " + value) if well_formed else None
+            if numbers is None:
+                return DataFormatError(f"{where}: unparsable pair '{shown}'")
+            if not 1.0 <= numbers[0] <= 256.0:
+                try:
+                    index = int(key)
+                except ValueError:  # more digits than int() reads
+                    index = key.decode()
+                return DataFormatError(f"{where}: attribute index {index} outside [1, 256]")
+            if not np.isfinite(numbers[1]):
+                return DataFormatError(f"{where}: attribute value in pair '{shown}' is not finite")
 
 
 def _parse_sparse(path, text: bytes, lines_before: int = 0):
     """(digits, attributes) of sparse ``label index:value`` text: one int64 digit and
-    one float64 row of 256 attributes per non-blank line after ``lines_before``."""
-    tokens = _Tokens(text)
-    del text
-    if not len(tokens):
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 256))
-    # every well-formed token before the first fault holds one number if it
-    # is a label and two if it is a pair
-    numbers, stop = tokens.numbers(tokens.first_malformed())
-    is_label = tokens.is_label[:stop]
-    of_label = np.repeat(is_label, np.where(is_label, 1, 2))
-    labels = numbers[of_label]
-    index, value = numbers[~of_label].reshape(-1, 2).T
-    del numbers, of_label
-    label_ok = (labels >= 1.0) & (labels < 11.0)  # int(float(label)) in 1..10
-    pair_ok = (index >= 1.0) & (index <= 256.0) & np.isfinite(value)
-    label_tokens = np.flatnonzero(is_label)
-    pair_tokens = np.flatnonzero(~is_label)
-    i, j = _first_true(~label_ok), _first_true(~pair_ok)
-    bad = min(
-        int(label_tokens[i]) if i < len(labels) else stop,
-        int(pair_tokens[j]) if j < len(index) else stop,
-    )
-    if bad < len(tokens):
-        where, token = f"{path}:{lines_before + tokens.line(bad)}", tokens.token(bad)
-        if tokens.is_label[bad]:
-            if bad == stop or not np.isfinite(labels[i]):
-                raise DataFormatError(f"{where}: unparsable label '{token}'")
-            raise DataFormatError(f"{where}: label {int(labels[i])} outside 1..10")
-        if bad == stop:
-            raise DataFormatError(f"{where}: unparsable pair '{token}'")
-        if not 1.0 <= index[j] <= 256.0:
-            key = token.split(":", 1)[0]
-            try:
-                key = int(key)
-            except ValueError:  # more digits than int() reads
-                pass
-            raise DataFormatError(f"{where}: attribute index {key} outside [1, 256]")
-        raise DataFormatError(f"{where}: attribute value in pair '{token}' is not finite")
-    rows = np.cumsum(is_label)[pair_tokens] - 1
+    one float64 row of 256 attributes per non-blank line after ``lines_before``.
+    Text that fails a check of :func:`_read_sparse` ends in the
+    :class:`DataFormatError` that :func:`_fault` finds for it."""
+    parsed = _read_sparse(text)
+    if parsed is None:
+        raise _fault(path, text, lines_before)
+    labels, rows, index, value = parsed
     cell = rows * 256 + index.astype(np.int64) - 1
     # a repeated index keeps the later value
     last = np.zeros(len(labels) * 256, dtype=np.int64)
@@ -361,8 +322,6 @@ def resize_bilinear(images: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     n, h, w = images.shape
 
     def axis_coords(size_in, size_out):
-        if size_out == 1 or size_in == 1:
-            return np.zeros(size_out, dtype=np.int64), np.zeros(size_out, dtype=np.int64), np.zeros(size_out)
         pos = np.arange(size_out) * (size_in - 1) / (size_out - 1)
         lo = np.minimum(np.floor(pos).astype(np.int64), size_in - 2)
         return lo, lo + 1, pos - lo

@@ -1,4 +1,14 @@
+import os
+
 import numpy as np
+from hypothesis import settings
+
+# The load_usps fuzz tests take their example count from the profile;
+# HYPOTHESIS_PROFILE=ci runs them ten times as long.  Every other
+# property test sets its own count.
+settings.register_profile("default", max_examples=300)
+settings.register_profile("ci", max_examples=3000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def rel_err(a, b) -> float:

@@ -502,7 +502,7 @@ def on_files(call, *raws: bytes):
 
 
 @given(sparse_texts, st.booleans())
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None)  # example count from the hypothesis profile
 def test_load_usps_matches_the_per_token_reference_bitwise(text, packed):
     raw = bz2.compress(text.encode()) if packed else text.encode()
     ds, (images, labels) = on_files(lambda p: (load_usps(p), reference_usps(p)), raw)
@@ -511,7 +511,7 @@ def test_load_usps_matches_the_per_token_reference_bitwise(text, packed):
 
 
 @given(sparse_texts, st.integers(1, 300))
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None)  # example count from the hypothesis profile
 def test_load_usps_in_small_blocks_matches_the_per_token_reference_bitwise(text, block_bytes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_module, "_USPS_BLOCK_BYTES", block_bytes)
@@ -555,13 +555,13 @@ text_bytes = st.binary(max_size=200) | st.text("0123456789+-.:eE \t\n\rinfa", ma
 
 
 @given(text_bytes, st.booleans())
-@settings(max_examples=300, deadline=None)
+@settings(deadline=None)  # example count from the hypothesis profile
 def test_load_usps_on_arbitrary_bytes_raises_only_data_format_error(raw, packed):
     loads_or_refuses(load_usps, bz2.compress(raw) if packed else raw)
 
 
 @given(sparse_texts, flips, cuts, st.sampled_from(["text", "bz2", "packed_text"]))
-@settings(max_examples=300, deadline=None)
+@settings(deadline=None)  # example count from the hypothesis profile
 def test_load_usps_on_mutated_or_cut_files_raises_only_data_format_error(text, flips, cut, form):
     raw = text.encode()
     if form == "text":
@@ -571,6 +571,61 @@ def test_load_usps_on_mutated_or_cut_files_raises_only_data_format_error(text, f
     else:
         raw = bz2.compress(mutated(raw, flips, cut))
     loads_or_refuses(load_usps, raw)
+
+
+# bytes that the parser reads as whitespace besides those bytes.split() splits at
+FIELD_SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+
+
+def key_of(pair: bytes) -> str:
+    key = pair.partition(b":")[0].decode()
+    try:
+        return str(int(key))
+    except ValueError:
+        return key
+
+
+def assert_names_its_line(message: str, raw: bytes):
+    """``message`` is one of load_usps's messages for the text ``raw``, and a
+    token message names a line of the newline-normalized text that holds the
+    token it quotes (for an index, a pair with that key)."""
+    found = re.fullmatch(r".*?/file0(?::(\d+))?: (.*)", message, re.S)
+    assert found, message
+    line, what = found.groups()
+    if line is None:
+        assert what == "no samples found" or what.startswith("corrupt or truncated text data"), message
+        return
+    lines = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    assert 1 <= int(line) <= len(lines), message
+    tokens = lines[int(line) - 1].translate(FIELD_SPACES).split()
+    assert tokens, message
+    if quoted := re.fullmatch(r"unparsable label '(.*)'", what, re.S):
+        assert tokens[0] == quoted[1].encode(), message
+    elif number := re.fullmatch(r"label (-?\d+) outside 1\.\.10", what):
+        assert int(float(tokens[0])) == int(number[1]), message
+    elif quoted := re.fullmatch(r"unparsable pair '(.*)'", what, re.S):
+        assert quoted[1].encode() in tokens[1:], message
+    elif key := re.fullmatch(r"attribute index (\S+) outside \[1, 256\]", what):
+        assert key[1] in map(key_of, tokens[1:]), message
+    else:
+        quoted = re.fullmatch(r"attribute value in pair '(.*)' is not finite", what, re.S)
+        assert quoted and quoted[1].encode() in tokens[1:], message
+
+
+# flips to bytes of the format itself, which leave more of a text readable
+format_flips = st.lists(
+    st.tuples(st.integers(0, 10**6), st.sampled_from(b"0123456789:+-.eE \t\r\n\x1cxinfa")), min_size=1, max_size=4
+)
+
+
+@given(sparse_texts, format_flips | flips, st.none() | cuts, st.booleans())
+@settings(deadline=None)  # example count from the hypothesis profile
+def test_load_usps_on_mutated_or_cut_files_names_a_line_that_holds_the_bad_token(text, flips, cut, packed):
+    raw = mutated(text.encode(), flips, len(text) if cut is None else cut)
+    try:
+        on_files(load_usps, bz2.compress(raw) if packed else raw)
+    except DataFormatError as exc:
+        assert_names_its_line(str(exc), raw)
 
 
 IDX_IMAGES = struct.pack(">IIII", 0x803, 3, 2, 2) + bytes(range(0, 240, 20))
