@@ -20,8 +20,10 @@ Gradients come in two flavours:
 * ``full``: additionally differentiates through the factors themselves with
   the standard SVD differential; cross-singular-value denominators
   ``sigma_j^2 - sigma_i^2`` are clamped in magnitude to avoid blowups on
-  (near-)repeated singular values, and a warning is logged when the clamp
-  engages.
+  (near-)repeated singular values.  Each clamped term adds one to
+  :data:`clamped_terms`, which ``train`` reads after each step's walks to
+  report a run's clamps on this module's logger: one warning at the first
+  clamping step and one total at the end, not one line per filter backward.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ GRADIENT_MODES = ("projected", "full")
 
 # relative clamp for 1/(sigma_j^2 - sigma_i^2) in full mode
 _DENOM_CLAMP_REL = 1e-6
+
+# cross-term denominators clamped by full-mode backward passes since import
+clamped_terms = 0
 
 
 class SpectralError(Exception):
@@ -109,8 +114,10 @@ def gate_weights(k: Tensor, beta: float, r: int) -> Tensor:
 def _svd_backward(u, s, v, du, ds, dv):
     """Gradient w.r.t. the decomposed matrix given factor gradients.
 
-    Standard thin-SVD differential with clamped cross terms.
+    Standard thin-SVD differential with clamped cross terms, counted in
+    :data:`clamped_terms`.
     """
+    global clamped_terms
     n, r = u.shape
     d = v.shape[0]
     s2 = s * s
@@ -121,7 +128,8 @@ def _svd_backward(u, s, v, du, ds, dv):
     off_diag = ~np.eye(r, dtype=bool)
     n_small = int((clamped & off_diag).sum())
     if n_small:
-        logger.warning(
+        clamped_terms += n_small
+        logger.debug(
             "degenerate spectrum: %d cross-term denominators clamped (min gap %.3g)",
             n_small,
             float(np.abs(diff[off_diag]).min()),

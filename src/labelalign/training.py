@@ -1,9 +1,9 @@
 """The adaptation objective and the training loop.
 
-Per step: sample a labeled source batch and an unlabeled target batch, push
-both through the feature extractor, build one gate ``w`` from the learnable
-cut ``k = sigmoid(k_hat)``, filter the source features spectrally with ``w``
-and the target features with ``1 - w``, then minimize
+Per step: sample a labeled source batch and an unlabeled target batch, build
+a gate ``w`` from the learnable cut ``k = sigmoid(k_hat)``, filter the source
+features spectrally with ``w`` and the target features with ``1 - w``, then
+minimize
 
     CE(g(F_w(source))) + lam * ||softmax(g(F_{1-w}(target)))||^2 + gamma * k^2
 
@@ -12,6 +12,13 @@ is the softmax cross-entropy and ``k`` is the normalized gate position.  The
 source keeps its leading spectrum, the target its trailing spectrum; the
 alignment term, smallest at a uniform softmax, drives ``g`` to no class
 preference there, suppressing directions carrying no label variation.
+
+The two domains share only the weights and the gate, so a step walks them
+one at a time (:func:`walk_domains`): it builds the source term on a tape
+and walks it, then builds and walks the target's ``lam * align + gamma *
+k^2``, so a step never holds both feature passes' tapes.  Parameter
+gradients add up across the two walks; each walk builds its own gate, so
+``k_hat``'s gradient is summed in another order than on one tape.
 
 Imani et al.'s linear method (arXiv 2211.14960), which this generalises,
 penalises a regressor's bias-free ``||bottom(phi_t) @ w||^2``.  Here the head
@@ -44,7 +51,7 @@ import numpy as np
 from . import autodiff as ad
 from . import spectral
 from .autodiff import Tensor
-from .data import BatchSampler, ImageDataset, next_batch
+from .data import BatchSampler, DomainBatch, ImageDataset, next_batch
 from .model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
 from .optim import Adam
 from .spectral import GRADIENT_MODES, spectral_filter
@@ -145,47 +152,96 @@ class TrainResult:
 def dla_loss(
     params: dict[str, Tensor],
     spec: ModelSpec,
-    source_images: np.ndarray,
-    source_labels: np.ndarray,
+    source_images: np.ndarray | None,
+    source_labels: np.ndarray | None,
     target_images: np.ndarray | None,
     cfg: TrainConfig,
-) -> tuple[Tensor, DlaLossParts, np.ndarray]:
-    """One objective evaluation; returns the total loss tensor, the raw loss
-    parts, and the detached source probabilities (for batch accuracy).
+) -> tuple[Tensor, DlaLossParts, np.ndarray | None]:
+    """The objective's terms for the batches given, on one tape; returns their
+    weighted sum as a tensor, the raw loss parts, and the detached source
+    probabilities (for batch accuracy; None without a source batch).
+
+    Given both batches, the tensor is the whole objective ``(cls + lam *
+    align) + gamma * k^2``.  Given one (the other passed as None), it is that
+    domain's terms alone: ``cls`` for the source, ``lam * align + gamma *
+    k^2`` for the target, with the other domain's parts reading 0.  ``train``
+    makes one call per domain and walks each before the next.
 
     One gate ``w`` serves both the source filter and, as ``1 - w``, the target
-    filter, so both feature matrices need the same ``min(rows, features)``;
-    ``train`` ensures it, and a direct call that does not fails the filter's
-    shape check.
+    filter, so in a two-batch call both feature matrices need the same
+    ``min(rows, features)``; ``train`` ensures it, and a direct call that
+    does not fails the filter's shape check.
     """
-    if len(source_images) == 0:
-        raise ConfigError("source batch is empty")
     adapt = cfg.mode == "dla"
-    if adapt and (target_images is None or len(target_images) == 0):
-        raise ConfigError("dla mode needs a nonempty target batch")
+    if not adapt:
+        target_images = None  # the baseline has no target term
+    if source_images is None and target_images is None:
+        raise ConfigError("dla_loss needs a source batch, or in dla mode a target batch")
+    if source_images is not None and len(source_images) == 0:
+        raise ConfigError("source batch is empty")
+    if target_images is not None and len(target_images) == 0:
+        raise ConfigError("target batch is empty")
 
     dtype = cfg.np_dtype
     k = ad.sigmoid(params["k_hat"])
-    phi = forward_features(params, spec, Tensor(np.asarray(source_images, dtype=dtype)))
-    if adapt:
-        w = spectral.gate_weights(k, cfg.beta, min(phi.shape))
-        phi = spectral_filter(phi, w, cfg.gradient_mode)
-    cls_t, probs = ad.softmax_cross_entropy(forward_head(params, phi), source_labels)
+    w = total_t = probs = None
+    cls = align = k_reg = 0.0
+    if source_images is not None:
+        phi = forward_features(params, spec, Tensor(np.asarray(source_images, dtype=dtype)))
+        if adapt:
+            w = spectral.gate_weights(k, cfg.beta, min(phi.shape))
+            phi = spectral_filter(phi, w, cfg.gradient_mode)
+        total_t, probs = ad.softmax_cross_entropy(forward_head(params, phi), source_labels)
+        cls = float(total_t.data)
 
-    total_t, align, k_reg = cls_t, 0.0, 0.0
-    if adapt:
+    if target_images is not None:
         phi_t = forward_features(params, spec, Tensor(np.asarray(target_images, dtype=dtype)))
+        if w is None:
+            w = spectral.gate_weights(k, cfg.beta, min(phi_t.shape))
         phi_t = spectral_filter(phi_t, ad.sub(np.ones((), dtype), w), cfg.gradient_mode)
         align_t = ad.mean_squared_norm(ad.softmax(forward_head(params, phi_t)))
-        total_t = ad.add(total_t, ad.scale(align_t, cfg.lam))
+        align_term = ad.scale(align_t, cfg.lam)
+        total_t = align_term if total_t is None else ad.add(total_t, align_term)
         kreg_t = ad.mul(k, k)
         total_t = ad.add(total_t, ad.scale(kreg_t, cfg.gamma))
         align, k_reg = float(align_t.data), float(kreg_t.data)
 
     parts = DlaLossParts(
-        cls=float(cls_t.data), align=align, k_reg=k_reg, total=float(total_t.data), k=float(k.data)
+        cls=cls, align=align, k_reg=k_reg, total=float(total_t.data), k=float(k.data)
     )
-    return total_t, parts, probs.data
+    return total_t, parts, None if probs is None else probs.data
+
+
+def _walk(total_t: Tensor, parts: DlaLossParts, step: int):
+    if not np.isfinite(parts.total):
+        raise TrainingAborted(f"step {step}: non-finite loss {parts}")
+    ad.backward(total_t)
+
+
+def walk_domains(
+    params: dict[str, Tensor], spec: ModelSpec, batch: DomainBatch, cfg: TrainConfig, step: int
+) -> tuple[DlaLossParts, np.ndarray]:
+    """Fill the gradients of one step's objective a domain at a time: build
+    the source term and walk it, then, with a target batch, build the
+    target's terms and walk them.  Returns the loss parts, ``total`` as a
+    one-tape :func:`dla_loss` gives it, and the source probabilities.
+
+    Raises :class:`TrainingAborted`, naming ``step``, on a non-finite term
+    before walking it.
+    """
+    images, labels = batch.source_images, batch.source_labels
+    total_t, parts, probs = dla_loss(params, spec, images, labels, None, cfg)
+    _walk(total_t, parts, step)
+    if batch.target_images is not None:
+        total_t, target, _ = dla_loss(params, spec, None, None, batch.target_images, cfg)
+        _walk(total_t, target, step)
+        # (cls + lam * align) + gamma * k^2, rounded as the one-tape sum rounds it
+        dtype = cfg.np_dtype
+        lam_align = dtype(target.align) * dtype(cfg.lam)
+        gamma_kreg = dtype(target.k_reg) * dtype(cfg.gamma)
+        total = float((dtype(parts.cls) + lam_align) + gamma_kreg)
+        parts = DlaLossParts(parts.cls, target.align, target.k_reg, total, parts.k)
+    return parts, probs
 
 
 def trainable_names(params: dict[str, Tensor], cfg: TrainConfig) -> list[str]:
@@ -227,7 +283,9 @@ def train(
     spec: ModelSpec = DEFAULT_SPEC,
     on_step=None,
 ) -> TrainResult:
-    """Run the configured number of steps and record metrics for each.
+    """Run the configured number of steps and record metrics for each; each
+    step walks one domain's tape before building the next
+    (:func:`walk_domains`).
 
     Aborts with :class:`TrainingAborted`, naming the step, on a spectral
     failure, a non-finite loss or non-finite weights rather than skipping the
@@ -246,18 +304,27 @@ def train(
         tgt_sampler = BatchSampler(len(target), cfg.batch_size, int(seeds[2]))
 
     records: list[MetricsRecord] = []
+    # full-mode walks clamp on most steps: report the first step and the
+    # run's total on the spectral logger rather than a line per walk
+    clamps_at_start = spectral.clamped_terms
+    clamping_steps = 0
     for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter() if cfg.timing else 0.0
         batch = next_batch(src_sampler, data.source, tgt_sampler, target)
+        clamps_before = spectral.clamped_terms
         try:
-            total_t, parts, probs = dla_loss(
-                params, spec, batch.source_images, batch.source_labels, batch.target_images, cfg
-            )
+            parts, probs = walk_domains(params, spec, batch, cfg, step)
         except spectral.SpectralError as exc:
             raise TrainingAborted(f"step {step}: {exc}") from exc
-        if not np.isfinite(parts.total):
-            raise TrainingAborted(f"step {step}: non-finite loss {parts}")
-        ad.backward(total_t)
+        if spectral.clamped_terms > clamps_before:
+            if not clamping_steps:
+                spectral.logger.warning(
+                    "step %d: degenerate spectrum: %d cross-term denominators clamped "
+                    "(the run's total follows at its end)",
+                    step,
+                    spectral.clamped_terms - clamps_before,
+                )
+            clamping_steps += 1
         optimizer.step(trainable)
         overflowed = [name for name, p in trainable.items() if not np.isfinite(p.data).all()]
         if overflowed:
@@ -275,6 +342,13 @@ def train(
         records.append(record)
         if on_step is not None:
             on_step(record, params)
+    if clamping_steps:
+        spectral.logger.warning(
+            "degenerate spectrum: %d cross-term denominators clamped on %d of %d steps",
+            spectral.clamped_terms - clamps_at_start,
+            clamping_steps,
+            cfg.steps,
+        )
     return TrainResult(params=params, records=records)
 
 

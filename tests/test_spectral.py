@@ -384,16 +384,21 @@ def test_full_gradient_wrt_k_hat():
     assert rel_err(gate.k_hat.grad, numeric) < 1e-3
 
 
-def test_full_mode_degenerate_spectrum_warns_and_stays_finite(caplog):
+def test_full_mode_degenerate_spectrum_is_counted_and_stays_finite(caplog):
     rng = np.random.default_rng(20)
     spectrum = np.array([2.0, 1.0, 1.0, 0.5])  # repeated singular value
     phi0 = random_matrix_with_spectrum(rng, 6, 4, spectrum)
     phi = t64(phi0, grad=True)
     gate = gate_for(0.5, beta=5.0)
-    with caplog.at_level(logging.WARNING, logger="labelalign.spectral"):
+    before = spectral.clamped_terms
+    with caplog.at_level(logging.DEBUG, logger="labelalign.spectral"):
         out = gate_filter(phi, gate, "top", "full")
         backward(ad.tsum(ad.mul(out, out)))
-    assert any("degenerate spectrum" in m for m in caplog.messages)
+    # the repeated pair clamps both of its cross terms; a backward pass logs
+    # them at DEBUG, and ``train`` reports a run's clamps at WARNING
+    assert spectral.clamped_terms - before == 2
+    assert [r.levelname for r in caplog.records] == ["DEBUG"]
+    assert "2 cross-term denominators clamped" in caplog.messages[0]
     assert np.isfinite(phi.grad).all()
 
 

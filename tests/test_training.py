@@ -1,3 +1,4 @@
+import logging
 import platform
 import resource
 import sys
@@ -10,7 +11,7 @@ from conftest import numeric_grad, rel_err
 from labelalign import autodiff as ad
 from labelalign import training
 from labelalign.autodiff import Tensor
-from labelalign.data import make_synthetic, synthetic_domains
+from labelalign.data import DomainBatch, make_synthetic, synthetic_domains
 from labelalign.model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
 from labelalign.spectral import SpectralError
 from labelalign.training import ConfigError, TrainConfig, TrainData, dla_loss, evaluate, train, trainable_names
@@ -169,8 +170,10 @@ def test_steady_training_steps_fault_in_no_fresh_pages():
 
 
 def dla_step_peaks():
-    """Traced allocation peaks, in MB, of one batch-128 float32 ``dla`` step:
-    (forward pass, whole step)."""
+    """Traced allocation peaks, in MB, of one direct both-batch ``dla_loss``
+    call at batch 128, float32, and its walk: (forward pass, forward and
+    walk).  The call holds both feature passes at once, which ``train``, walking
+    one domain at a time, never does."""
     cfg = TrainConfig()
     source, target = make_synthetic(128, 1), make_synthetic(128, 2, domain_shift=0.35)
     params = build_model(DEFAULT_SPEC, seed=0)
@@ -188,20 +191,108 @@ def dla_step_peaks():
 
 
 def test_a_dla_step_keeps_only_what_its_backward_pass_reads():
-    # the step holds two feature passes at once and peaks at about 19.5 MB;
-    # keeping each stage's conv, pool and bias-add outputs (14.4 MB per pass
-    # at batch 128, read by no backward closure) would add about 29 MB
+    # the both-batch call holds two feature passes at once and peaks at about
+    # 19.5 MB; keeping each stage's conv, pool and bias-add outputs (14.4 MB
+    # per pass at batch 128, read by no backward closure) would add about 29 MB
     _, peak = dla_step_peaks()
     assert peak < 50
 
 
 def test_a_dla_steps_backward_pass_peaks_no_higher_than_its_forward():
-    # the backward pass frees each gradient once its operands have theirs;
-    # a walk that kept every node to its end grew the live set from 14 to
-    # 35 MB and peaked at 40 MB, against 20 MB for the forward pass
+    # the walk frees each gradient once its operands have theirs; on the
+    # both-batch call's tape, a walk that kept every node to its end grew the
+    # live set from 14 to 35 MB and peaked at 40 MB, against 20 MB for the
+    # forward pass
     forward_peak, step_peak = dla_step_peaks()
     assert step_peak - forward_peak <= 2, (forward_peak, step_peak)
     assert step_peak < 24
+
+
+def steady_step_peak(mode):
+    """Traced allocation peak, in MB, of steps 2-3 of a batch-128 float32
+    run, above what is held after step 1."""
+    cfg = TrainConfig(mode=mode, steps=3, val_every=0, timing=False)
+    data = TrainData(
+        source=make_synthetic(256, 1), target=make_synthetic(256, 2, domain_shift=0.35).drop_labels()
+    )
+    held = []
+
+    def after_step(record, params):
+        if record.step == 1:
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        train(cfg, data, on_step=after_step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - held[0]) / 1e6
+
+
+def test_a_dla_step_in_train_holds_one_feature_pass_at_a_time():
+    # train walks the source's tape before it builds the target's, so a dla
+    # step peaks at about 14.2 MB against 13.3 MB for a no_adapt step; one
+    # tape holding both feature passes peaked at 19.5 MB
+    dla, no_adapt = steady_step_peak("dla"), steady_step_peak("no_adapt")
+    assert dla - no_adapt <= 2, (dla, no_adapt)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("gradient_mode", ["projected", "full"])
+def test_per_domain_walks_match_one_walk_of_the_whole_objective(dtype, gradient_mode):
+    cfg = TrainConfig(lam=0.5, gamma=0.1, batch_size=32, gradient_mode=gradient_mode, dtype=dtype)
+    source, target = make_synthetic(32, 1), make_synthetic(32, 2, domain_shift=0.35)
+    batch = DomainBatch(source.images, source.labels, target.images)
+    whole = build_model(DEFAULT_SPEC, seed=5, dtype=cfg.np_dtype)
+    total, parts, probs = dla_loss(
+        whole, DEFAULT_SPEC, source.images, source.labels, target.images, cfg
+    )
+    ad.backward(total)
+
+    walked = build_model(DEFAULT_SPEC, seed=5, dtype=cfg.np_dtype)
+    got, got_probs = training.walk_domains(walked, DEFAULT_SPEC, batch, cfg, step=1)
+    assert got == parts  # total included, to the bit
+    assert got_probs.tobytes() == probs.tobytes()
+    # every gradient but k_hat's is the same two terms, summed in either order;
+    # each walk builds its own gate, so k_hat's sums its terms in another order
+    for name, p in whole.items():
+        if name == "k_hat":
+            rtol = 1e-4 if dtype == "float32" else 1e-12
+            np.testing.assert_allclose(walked[name].grad, p.grad, rtol=rtol, atol=0)
+        else:
+            assert walked[name].grad.tobytes() == p.grad.tobytes(), name
+
+
+def test_one_domain_calls_return_that_domains_terms():
+    cfg = TrainConfig(lam=0.5, gamma=0.1, batch_size=BATCH, dtype="float64")
+    params = build_model(SPEC, seed=4, dtype=np.float64)
+    source, labels, target = batches()
+    _, whole, _ = dla_loss(params, SPEC, source, labels, target, cfg)
+    _, src, probs = dla_loss(params, SPEC, source, labels, None, cfg)
+    _, tgt, no_probs = dla_loss(params, SPEC, None, None, target, cfg)
+    assert (src.cls, src.align, src.k_reg, src.total) == (whole.cls, 0.0, 0.0, whole.cls)
+    assert (tgt.cls, tgt.align, tgt.k_reg) == (0.0, whole.align, whole.k_reg)
+    assert tgt.total == pytest.approx(0.5 * whole.align + 0.1 * whole.k_reg, rel=1e-15)
+    assert probs is not None and no_probs is None
+    with pytest.raises(ConfigError, match="needs a source batch"):
+        dla_loss(params, SPEC, None, None, target, TrainConfig(mode="no_adapt"))
+
+
+def test_a_clamping_run_logs_its_first_clamp_and_its_total(caplog):
+    # full-mode filter backwards clamp on every step of this run; each used
+    # to log its own warning, two per step
+    cfg = TrainConfig(steps=3, gradient_mode="full", val_every=0, timing=False)
+    data = TrainData(
+        source=make_synthetic(256, 1), target=make_synthetic(256, 2, domain_shift=0.35).drop_labels()
+    )
+    with caplog.at_level(logging.WARNING, logger="labelalign.spectral"):
+        train(cfg, data)
+    lines = [m for m in caplog.messages if "degenerate spectrum" in m]
+    assert len(lines) == 2, lines
+    assert lines[0].startswith("step 1: ")
+    assert lines[1].endswith("clamped on 3 of 3 steps")
 
 
 def test_train_refuses_images_the_model_cannot_take():
