@@ -23,8 +23,8 @@ its op ran, and otherwise only shapes and dtypes.  So :func:`release` may
 drop the values of any tensor on a tape once the forward pass no longer
 reads them: its node stays in the graph with the same shape and dtype, and
 the gradients keep every bit.  A training step's feature extractor releases
-its stage intermediates this way, so two feature passes alive at once hold
-only what their backward passes read.
+its stage intermediates this way, so a feature pass holds only what its
+backward pass reads.
 
 Arrays are float32 or float64 and never upcast silently: training code runs
 at float32 while numerical test oracles run the same code paths at float64.

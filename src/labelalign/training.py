@@ -13,12 +13,11 @@ source keeps its leading spectrum, the target its trailing spectrum; the
 alignment term, smallest at a uniform softmax, drives ``g`` to no class
 preference there, suppressing directions carrying no label variation.
 
-The two domains share only the weights and the gate, so a step walks them
-one at a time (:func:`walk_domains`): it builds the source term on a tape
-and walks it, then builds and walks the target's ``lam * align + gamma *
-k^2``, so a step never holds both feature passes' tapes.  Parameter
-gradients add up across the two walks; each walk builds its own gate, so
-``k_hat``'s gradient is summed in another order than on one tape.
+The two domains share only the weights and the gate, so :func:`dla_loss`
+builds one domain's terms on their own tape, and a step walks the source's
+cross-entropy before it builds the target's ``lam * align + gamma * k^2``
+(:func:`walk_domains`): a step never holds both feature passes, and the
+parameter gradients add up across the two walks.
 
 Imani et al.'s linear method (arXiv 2211.14960), which this generalises,
 penalises a regressor's bias-free ``||bottom(phi_t) @ w||^2``.  Here the head
@@ -152,96 +151,76 @@ class TrainResult:
 def dla_loss(
     params: dict[str, Tensor],
     spec: ModelSpec,
-    source_images: np.ndarray | None,
-    source_labels: np.ndarray | None,
-    target_images: np.ndarray | None,
+    images: np.ndarray,
+    labels: np.ndarray | None,
     cfg: TrainConfig,
 ) -> tuple[Tensor, DlaLossParts, np.ndarray | None]:
-    """The objective's terms for the batches given, on one tape; returns their
-    weighted sum as a tensor, the raw loss parts, and the detached source
-    probabilities (for batch accuracy; None without a source batch).
+    """One domain's terms of the objective, on their own tape; returns their
+    weighted sum as a tensor, the raw loss parts (the other domain's reading
+    0), and the detached source probabilities (for batch accuracy).
 
-    Given both batches, the tensor is the whole objective ``(cls + lam *
-    align) + gamma * k^2``.  Given one (the other passed as None), it is that
-    domain's terms alone: ``cls`` for the source, ``lam * align + gamma *
-    k^2`` for the target, with the other domain's parts reading 0.  ``train``
-    makes one call per domain and walks each before the next.
-
-    One gate ``w`` serves both the source filter and, as ``1 - w``, the target
-    filter, so in a two-batch call both feature matrices need the same
-    ``min(rows, features)``; ``train`` ensures it, and a direct call that
-    does not fails the filter's shape check.
+    With ``labels``, the batch is the source's and the tensor is ``cls``,
+    through the gate ``w`` in ``dla`` mode.  Without, it is the target's and
+    the tensor is ``lam * align + gamma * k^2``, through ``1 - w``, with None
+    for the probabilities; ``no_adapt`` mode has no target term.
     """
+    domain = "target" if labels is None else "source"
     adapt = cfg.mode == "dla"
-    if not adapt:
-        target_images = None  # the baseline has no target term
-    if source_images is None and target_images is None:
-        raise ConfigError("dla_loss needs a source batch, or in dla mode a target batch")
-    if source_images is not None and len(source_images) == 0:
-        raise ConfigError("source batch is empty")
-    if target_images is not None and len(target_images) == 0:
-        raise ConfigError("target batch is empty")
+    if domain == "target" and not adapt:
+        raise ConfigError("no_adapt mode has no target term")
+    if len(images) == 0:
+        raise ConfigError(f"{domain} batch is empty")
 
     dtype = cfg.np_dtype
     k = ad.sigmoid(params["k_hat"])
-    w = total_t = probs = None
-    cls = align = k_reg = 0.0
-    if source_images is not None:
-        phi = forward_features(params, spec, Tensor(np.asarray(source_images, dtype=dtype)))
-        if adapt:
-            w = spectral.gate_weights(k, cfg.beta, min(phi.shape))
-            phi = spectral_filter(phi, w, cfg.gradient_mode)
-        total_t, probs = ad.softmax_cross_entropy(forward_head(params, phi), source_labels)
+    phi = forward_features(params, spec, Tensor(np.asarray(images, dtype=dtype)))
+    if adapt:
+        w = spectral.gate_weights(k, cfg.beta, min(phi.shape))
+        if domain == "target":
+            w = ad.sub(np.ones((), dtype), w)
+        phi = spectral_filter(phi, w, cfg.gradient_mode)
+    scores = forward_head(params, phi)
+    if domain == "source":
+        total_t, probs = ad.softmax_cross_entropy(scores, labels)
         cls = float(total_t.data)
+        return total_t, DlaLossParts(cls, 0.0, 0.0, cls, float(k.data)), probs.data
 
-    if target_images is not None:
-        phi_t = forward_features(params, spec, Tensor(np.asarray(target_images, dtype=dtype)))
-        if w is None:
-            w = spectral.gate_weights(k, cfg.beta, min(phi_t.shape))
-        phi_t = spectral_filter(phi_t, ad.sub(np.ones((), dtype), w), cfg.gradient_mode)
-        align_t = ad.mean_squared_norm(ad.softmax(forward_head(params, phi_t)))
-        align_term = ad.scale(align_t, cfg.lam)
-        total_t = align_term if total_t is None else ad.add(total_t, align_term)
-        kreg_t = ad.mul(k, k)
-        total_t = ad.add(total_t, ad.scale(kreg_t, cfg.gamma))
-        align, k_reg = float(align_t.data), float(kreg_t.data)
-
-    parts = DlaLossParts(
-        cls=cls, align=align, k_reg=k_reg, total=float(total_t.data), k=float(k.data)
-    )
-    return total_t, parts, None if probs is None else probs.data
-
-
-def _walk(total_t: Tensor, parts: DlaLossParts, step: int):
-    if not np.isfinite(parts.total):
-        raise TrainingAborted(f"step {step}: non-finite loss {parts}")
-    ad.backward(total_t)
+    align_t = ad.mean_squared_norm(ad.softmax(scores))
+    kreg_t = ad.mul(k, k)
+    total_t = ad.add(ad.scale(align_t, cfg.lam), ad.scale(kreg_t, cfg.gamma))
+    parts = DlaLossParts(0.0, float(align_t.data), float(kreg_t.data), float(total_t.data), float(k.data))
+    return total_t, parts, None
 
 
 def walk_domains(
     params: dict[str, Tensor], spec: ModelSpec, batch: DomainBatch, cfg: TrainConfig, step: int
 ) -> tuple[DlaLossParts, np.ndarray]:
     """Fill the gradients of one step's objective a domain at a time: build
-    the source term and walk it, then, with a target batch, build the
-    target's terms and walk them.  Returns the loss parts, ``total`` as a
-    one-tape :func:`dla_loss` gives it, and the source probabilities.
+    the source term with :func:`dla_loss` and walk it, then, with a target
+    batch, build the target's terms and walk them.  Returns the loss parts,
+    with ``total = (cls + lam * align) + gamma * k^2`` rounded in the run's
+    dtype, and the source probabilities.
 
-    Raises :class:`TrainingAborted`, naming ``step``, on a non-finite term
-    before walking it.
+    Raises :class:`TrainingAborted`, naming ``step`` and the domain, on a
+    non-finite term before walking it.
     """
-    images, labels = batch.source_images, batch.source_labels
-    total_t, parts, probs = dla_loss(params, spec, images, labels, None, cfg)
-    _walk(total_t, parts, step)
-    if batch.target_images is not None:
-        total_t, target, _ = dla_loss(params, spec, None, None, batch.target_images, cfg)
-        _walk(total_t, target, step)
-        # (cls + lam * align) + gamma * k^2, rounded as the one-tape sum rounds it
-        dtype = cfg.np_dtype
-        lam_align = dtype(target.align) * dtype(cfg.lam)
-        gamma_kreg = dtype(target.k_reg) * dtype(cfg.gamma)
-        total = float((dtype(parts.cls) + lam_align) + gamma_kreg)
-        parts = DlaLossParts(parts.cls, target.align, target.k_reg, total, parts.k)
-    return parts, probs
+
+    def walk(domain, images, labels):
+        total_t, parts, probs = dla_loss(params, spec, images, labels, cfg)
+        if not np.isfinite(parts.total):
+            raise TrainingAborted(f"step {step}: the {domain} loss went non-finite: {parts.total}")
+        ad.backward(total_t)
+        return parts, probs
+
+    source, probs = walk("source", batch.source_images, batch.source_labels)
+    if batch.target_images is None:
+        return source, probs
+    target, _ = walk("target", batch.target_images, None)
+    dtype = cfg.np_dtype
+    lam_align = dtype(target.align) * dtype(cfg.lam)
+    gamma_kreg = dtype(target.k_reg) * dtype(cfg.gamma)
+    total = float((dtype(source.cls) + lam_align) + gamma_kreg)
+    return DlaLossParts(source.cls, target.align, target.k_reg, total, source.k), probs
 
 
 def trainable_names(params: dict[str, Tensor], cfg: TrainConfig) -> list[str]:
