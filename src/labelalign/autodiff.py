@@ -37,18 +37,42 @@ rather than from memory, and its tape keeps the padded input, not the
 columns.  Its backward walks the same blocks: the kernel gradient builds
 them again, and the input gradient takes one GEMM per block of gradient rows.
 
+Two workers: a convolution runs its blocks as tasks on the caller and one
+helper thread, when the process may run on two CPUs (``CONV_WORKERS`` is
+``min(2, len(os.sched_getaffinity(0)))``; with one CPU there is no helper and
+the caller runs the same tasks in order).  The forward's tasks are its column
+blocks; the backward's are the input-gradient pass and the kernel-gradient
+pass, which read the same output gradient and write different arrays.  A
+backward with one pass (the first layer's, whose input needs no gradient)
+runs it on the caller: its per-block products, a 9x16 output over 28,672
+columns each, ran 2.5 times slower apiece when two threads ran them at once
+on a 2-vCPU VM, so splitting them made the pass slower.
+Each thread fills its own column buffer, every task writes its own part of
+an output, and the buffers are allocated by the caller, so which thread runs
+a task changes no bit.  The caller claims tasks too, so it runs every task
+the helper has not started: if the host takes the second CPU away, a call
+runs as the serial loop and waits only for a task the helper has begun.  The
+helper starts on first use, as a daemon thread, moves off the caller's CPU,
+and calls only numpy.
+
 On import, glibc is asked to keep freed arrays in the process: a tape frees
 tens of MB per training step that the next step allocates again, and handing
 them back to the OS made every step fault its pages in anew.  Up to 256 MiB
 of freed memory then stays mapped, so RSS does not fall back after a large
-load.  Other C libraries keep their own policy; ``HEAP_TUNED`` says if the
-setting took.  Perfbench's ``samples_per_s`` and ``ru_minflt`` per step show
-its effect.
+load.  glibc is also asked for one arena (``M_ARENA_MAX``), so the helper
+allocates from the main arena rather than growing a heap of its own.  Other
+C libraries keep their own policy; ``HEAP_TUNED`` says if the three settings
+took.  Perfbench's ``samples_per_s`` and ``ru_minflt`` per step show their
+effect.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import queue
+import threading
+from functools import partial
 
 import numpy as np
 
@@ -56,15 +80,21 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 
 def _keep_freed_arrays() -> bool:
-    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB;
-    True when both ``mallopt`` calls returned 1.  Either alone turns off the
-    dynamic threshold and faults more, so the second runs only after the first."""
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 256 MiB,
+    and keep every thread's allocations in the main arena; True when all three
+    ``mallopt`` calls returned 1.  Either threshold alone turns off the dynamic
+    threshold and faults more, so the second runs only after the first."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no mallopt (macOS, Windows); musl's returns 0
         return False
-    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-    return mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(M_TRIM_THRESHOLD, 256 << 20) == 1
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
+    return (
+        mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1
+        and mallopt(M_TRIM_THRESHOLD, 256 << 20) == 1
+        and mallopt(M_ARENA_MAX, 1) == 1
+    )
 
 
 HEAP_TUNED = _keep_freed_arrays()
@@ -340,6 +370,129 @@ def tsum(a: Tensor) -> Tensor:
 COLUMN_BLOCK_BYTES = 1 << 20
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+# Threads that run a convolution's tasks, its caller included: two when the
+# process may run on two CPUs or more, else the caller alone.
+CONV_WORKERS = min(2, _usable_cpus())
+
+
+class _Batch:
+    """One call's tasks; each runs once, on whichever thread claims it first.
+    A task is called with its thread's slot: 0 for the caller, 1 for the helper."""
+
+    def __init__(self, tasks):
+        self.tasks = tasks
+        self.claimed = 0
+        self.running = 0
+        self.error = None
+        self.errstate = np.geterr()
+        self.lock = threading.Lock()
+        self.idle = threading.Condition(self.lock)
+
+    def work(self, slot: int):
+        while True:
+            with self.lock:
+                if self.claimed >= len(self.tasks):
+                    return
+                task = self.tasks[self.claimed]
+                self.claimed += 1
+                self.running += 1
+            try:
+                task(slot)
+            except Exception as exc:  # raised in the caller once no task runs
+                with self.lock:
+                    self.error = self.error or exc
+                    self.claimed = len(self.tasks)
+            finally:
+                with self.lock:
+                    self.running -= 1
+                    self.idle.notify()
+
+    def close(self):
+        """Stop further claims, wait for the tasks already started and drop
+        the task list, so a batch the helper has not reached holds no arrays."""
+        with self.lock:
+            self.claimed = len(self.tasks)
+            while self.running:
+                self.idle.wait()
+            self.tasks = ()
+
+
+def _caller_cpu() -> int | None:
+    """The CPU the calling thread runs on, or None where libc cannot say."""
+    try:
+        getcpu = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError, TypeError):  # no sched_getcpu (macOS, Windows)
+        return None
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    cpu = getcpu()
+    return cpu if cpu >= 0 else None
+
+
+def _serve(batches: queue.SimpleQueue, caller_cpu: int | None):
+    # A kernel that does not balance load (a cpuset with sched_load_balance
+    # off) keeps a new thread on its creator's CPU, where the helper would
+    # only take turns with the caller; so the helper leaves the caller's CPU.
+    try:
+        os.sched_setaffinity(0, os.sched_getaffinity(0) - {caller_cpu})
+    except (AttributeError, OSError, ValueError):  # no affinity calls, or no other CPU
+        pass
+    while True:
+        batch = batches.get()
+        with np.errstate(**batch.errstate):
+            batch.work(1)
+
+
+class _ConvPool:
+    """The caller plus one helper thread, started on first use.  The caller
+    posts its tasks and claims them too, so a task no thread has started when
+    the caller is free runs on the caller: a helper the host has descheduled
+    costs the call nothing but the tasks it already started."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pid = None
+        self._batches = None
+
+    def _queue(self) -> queue.SimpleQueue:
+        with self._lock:
+            if self._pid != os.getpid():  # first use, or a forked child, which has no helper
+                self._batches = queue.SimpleQueue()
+                helper = threading.Thread(
+                    target=_serve, args=(self._batches, _caller_cpu()), name="conv2d-helper", daemon=True
+                )
+                helper.start()
+                self._pid = os.getpid()
+            return self._batches
+
+    def run(self, tasks: list):
+        batch = _Batch(tasks)
+        self._queue().put(batch)
+        try:
+            batch.work(0)
+        finally:
+            batch.close()
+        if batch.error is not None:
+            raise batch.error
+
+
+_POOL = _ConvPool()
+
+
+def _run_tasks(tasks: list, workers: int):
+    if workers < 2 or len(tasks) < 2:
+        for task in tasks:
+            task(0)
+    else:
+        _POOL.run(tasks)
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of a CHWN input with an OIHW kernel, zero padded;
     the output is CHWN (channels, height, width, batch).
@@ -366,6 +519,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     strided adds move them into the padded input over runs of ``wo*b``
     values.  The blocks go bottom to top, so every padded position adds its
     taps in ascending ``(i, j)`` order whatever the block size.
+
+    Each forward block is one task for the two workers (module docstring),
+    and so is each of the two gradient passes; a thread's column blocks and
+    column gradients share its own buffer.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     kernel = kernel if isinstance(kernel, Tensor) else Tensor(kernel)
@@ -400,41 +557,63 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     # kernel's (kh, kw, c) columns, and the batch stays innermost
     windows = windows[:, ::stride, ::stride].transpose(4, 5, 0, 1, 2, 3)
     rows = min(ho, max(1, COLUMN_BLOCK_BYTES // max(1, taps * span * xp.itemsize)))
+    starts = range(0, ho, rows)  # first output row of each block
+    workers = CONV_WORKERS
 
-    def column_blocks():
-        """(output columns, (taps, rows*span) column block) per block of rows."""
-        buf = np.empty(taps * rows * span, dtype=xp.dtype)
-        for r in range(0, ho, rows):
-            n = min(rows, ho - r)
-            block = buf[: taps * n * span].reshape(kh, kw, c, n, wo, b)
-            np.copyto(block, windows[:, :, :, r : r + n])
-            yield np.s_[:, r * span : (r + n) * span], block.reshape(taps, n * span)
+    def buffers():
+        """One column-block buffer per thread slot."""
+        return [np.empty(taps * rows * span, dtype=xp.dtype) for _ in range(workers)]
+
+    def column_block(buf, r):
+        """(output columns, (taps, n*span) column block) of the rows from ``r``."""
+        n = min(rows, ho - r)
+        block = buf[: taps * n * span].reshape(kh, kw, c, n, wo, b)
+        np.copyto(block, windows[:, :, :, r : r + n])
+        return np.s_[:, r * span : (r + n) * span], block.reshape(taps, n * span)
 
     kmat = kernel.data.transpose(0, 2, 3, 1).reshape(o, taps)
     out_data = np.empty((o, ho * span), dtype=xp.dtype)
-    for cols, block in column_blocks():
+    blocks = buffers()
+
+    def forward_block(r, slot):
+        cols, block = column_block(blocks[slot], r)
         np.matmul(kmat, block, out=out_data[cols])
+
+    _run_tasks([partial(forward_block, r) for r in starts], workers)
 
     def backward(out):
         g = out.grad.reshape(o, ho * span)
-        if kernel.requires_grad:
-            dkt = np.zeros((taps, o), dtype=xp.dtype)
-            for cols, block in column_blocks():
-                dkt += block @ g[cols].T
-            _accumulate(kernel, dkt.T.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+        bufs = buffers()
+        tasks = []
         if x.requires_grad:
             dxp = np.zeros((c, hp, wp, b), dtype=xp.dtype)
-            buf = np.empty(taps * rows * span, dtype=xp.dtype)
-            # bottom-up: a padded row gets its taps in ascending (i, j) order
-            for r in range(rows * ((ho - 1) // rows), -1, -rows):
-                n = min(rows, ho - r)
-                dcols = buf[: taps * n * span].reshape(taps, n * span)
-                np.matmul(kmat.T, g[:, r * span : (r + n) * span], out=dcols)
-                dcols = dcols.reshape(kh, kw, c, n, wo, b)
-                top = stride * r
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[:, top + i : top + i + stride * n : stride, j : j + stride * wo : stride] += dcols[i, j]
+
+            def input_gradient(slot):
+                # bottom-up: a padded row gets its taps in ascending (i, j) order
+                for r in reversed(starts):
+                    n = min(rows, ho - r)
+                    dcols = bufs[slot][: taps * n * span].reshape(taps, n * span)
+                    np.matmul(kmat.T, g[:, r * span : (r + n) * span], out=dcols)
+                    dcols = dcols.reshape(kh, kw, c, n, wo, b)
+                    top = stride * r
+                    for i in range(kh):
+                        for j in range(kw):
+                            dxp[:, top + i : top + i + stride * n : stride, j : j + stride * wo : stride] += dcols[i, j]
+
+            tasks.append(input_gradient)
+        if kernel.requires_grad:
+            dkt = np.zeros((taps, o), dtype=xp.dtype)
+
+            def kernel_gradient(slot):
+                for r in starts:
+                    cols, block = column_block(bufs[slot], r)
+                    np.add(dkt, block @ g[cols].T, out=dkt)
+
+            tasks.append(kernel_gradient)
+        _run_tasks(tasks, workers)
+        if kernel.requires_grad:
+            _accumulate(kernel, dkt.T.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+        if x.requires_grad:
             _accumulate(x, dxp[:, padding : padding + h, padding : padding + w])
 
     return _make(out_data.reshape(o, ho, wo, b), (x, kernel), backward)

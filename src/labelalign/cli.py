@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import HEAP_TUNED
+from .autodiff import CONV_WORKERS, HEAP_TUNED
 from .checkpoint import CheckpointError, load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig, load_run_config, parse_run_config
 from .data import (
@@ -152,6 +152,7 @@ def cmd_train(args) -> int:
             "heap_keeps_freed_arrays": HEAP_TUNED,
             "git_revision": git_revision(),
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "conv_workers": CONV_WORKERS,
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -130,7 +130,7 @@ def _svd_backward(u, s, v, du, ds, dv):
     if n_small:
         clamped_terms += n_small
         logger.debug(
-            "degenerate spectrum: %d cross-term denominators clamped (min gap %.3g)",
+            "clamped cross terms: %d cross-term denominators clamped (min gap %.3g)",
             n_small,
             float(np.abs(diff[off_diag]).min()),
         )

@@ -107,6 +107,11 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be one of {allowed}, got '{value}'")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got '{self.dtype}'")
+        # the terms are weighted in the run's dtype, where a larger weight is inf
+        largest = float(np.finfo(self.np_dtype).max)
+        for name, value in (("lam", self.lam), ("gamma", self.gamma)):
+            if value > largest:
+                raise ConfigError(f"{name} must be at most {largest:.6g} in {self.dtype}, got {value}")
         return self
 
     @property
@@ -298,7 +303,7 @@ def train(
         if spectral.clamped_terms > clamps_before:
             if not clamping_steps:
                 spectral.logger.warning(
-                    "step %d: degenerate spectrum: %d cross-term denominators clamped "
+                    "step %d: clamped cross terms: %d SVD cross-term denominators clamped "
                     "(the run's total follows at its end)",
                     step,
                     spectral.clamped_terms - clamps_before,
@@ -323,7 +328,7 @@ def train(
             on_step(record, params)
     if clamping_steps:
         spectral.logger.warning(
-            "degenerate spectrum: %d cross-term denominators clamped on %d of %d steps",
+            "clamped cross terms: %d SVD cross-term denominators clamped on %d of %d steps",
             spectral.clamped_terms - clamps_at_start,
             clamping_steps,
             cfg.steps,

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -502,6 +504,147 @@ def test_conv2d_backward_peaks_below_a_column_matrix():
         tracemalloc.stop()
     assert x.grad.shape == x.shape and k.grad.shape == k.shape
     assert peak - before < columns
+
+
+# ---------------------------------------------------------------------------
+# conv2d on two workers
+# ---------------------------------------------------------------------------
+
+# (x shape, kernel shape, stride, padding, output rows per column block):
+# three blocks of a one-channel input at stride 2, five blocks at stride 1
+SPLIT_CASES = [((1, 15, 9, 3), (3, 1, 3, 2), 2, 1, 3), ((2, 15, 9, 3), (3, 2, 3, 2), 1, 2, 4)]
+
+
+def split_case(monkeypatch, case, dtype):
+    """Size the column blocks to the case's rows; returns ``x``, the kernel, an
+    output gradient ``g``, the stride and the padding."""
+    x_shape, k_shape, stride, padding, rows = case
+    c, h, w, b = x_shape
+    o, _, kh, kw = k_shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    monkeypatch.setattr(ad, "COLUMN_BLOCK_BYTES", rows * kh * kw * c * wo * b * np.dtype(dtype).itemsize)
+    assert -(-ho // rows) % 2 == 1  # an odd number of blocks
+    rng = np.random.default_rng(rows)
+    x, k, g = (rng.standard_normal(shape).astype(dtype) for shape in (x_shape, k_shape, (o, ho, wo, b)))
+    return x, k, g, stride, padding
+
+
+def conv_and_grads(x, k, g, stride, padding, x_grad=True):
+    """The output, kernel gradient and input gradient (None without
+    ``x_grad``) of ``sum(g * conv2d(x, k))``."""
+    xt, kt = Tensor(x, requires_grad=x_grad), Tensor(k, requires_grad=True)
+    out = ad.conv2d(xt, kt, stride=stride, padding=padding)
+    backward(ad.tsum(ad.mul(out, Tensor(g))))
+    return out.data, kt.grad, xt.grad
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["both-gradients", "kernel-gradient"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", SPLIT_CASES, ids=["c1-stride2", "c2-stride1"])
+def test_conv2d_gives_the_same_bits_on_one_worker_and_two(monkeypatch, case, dtype, x_grad):
+    x, k, g, stride, padding = split_case(monkeypatch, case, dtype)
+    monkeypatch.setattr(ad, "CONV_WORKERS", 1)
+    serial = conv_and_grads(x, k, g, stride, padding, x_grad)
+    monkeypatch.setattr(ad, "CONV_WORKERS", 2)
+    for _ in range(3):  # which thread takes which task varies from call to call
+        assert_same_bits(conv_and_grads(x, k, g, stride, padding, x_grad), serial)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", SPLIT_CASES, ids=["c1-stride2", "c2-stride1"])
+def test_conv2d_bits_do_not_depend_on_which_slot_runs_which_task(monkeypatch, case, dtype):
+    x, k, g, stride, padding = split_case(monkeypatch, case, dtype)
+    monkeypatch.setattr(ad, "CONV_WORKERS", 1)
+    serial = conv_and_grads(x, k, g, stride, padding)
+    schedule = np.random.default_rng(0)
+
+    def shuffled(tasks, workers):
+        assert workers == 2
+        for i in schedule.permutation(len(tasks)):
+            tasks[i](int(schedule.integers(2)))
+
+    monkeypatch.setattr(ad, "CONV_WORKERS", 2)
+    monkeypatch.setattr(ad, "_run_tasks", shuffled)
+    for _ in range(5):
+        assert_same_bits(conv_and_grads(x, k, g, stride, padding), serial)
+
+
+def test_the_caller_finishes_a_call_alone_when_the_helper_takes_no_task(monkeypatch):
+    x, k, g, stride, padding = split_case(monkeypatch, SPLIT_CASES[1], np.float64)
+    monkeypatch.setattr(ad, "CONV_WORKERS", 1)
+    serial = conv_and_grads(x, k, g, stride, padding)
+    monkeypatch.setattr(ad, "CONV_WORKERS", 2)
+
+    class Stall:
+        """A batch that holds the helper until it is released."""
+
+        errstate = np.geterr()
+        entered, released = threading.Event(), threading.Event()
+
+        def work(self, slot):
+            self.entered.set()
+            self.released.wait(60)
+
+    stall = Stall()
+    ad._POOL._queue().put(stall)
+    assert stall.entered.wait(30)
+    results = []
+    caller = threading.Thread(target=lambda: results.append(conv_and_grads(x, k, g, stride, padding)))
+    try:
+        caller.start()
+        caller.join(30)
+        assert not caller.is_alive()
+    finally:
+        stall.released.set()
+    assert_same_bits(results[0], serial)
+
+
+def test_the_pool_runs_each_task_once_in_the_thread_it_names():
+    # more callers than CPUs, switching threads every microsecond
+    callers, calls, tasks = 4, 20, 16
+    hits = np.zeros((callers, tasks), dtype=np.int64)
+    misplaced = []
+
+    def call(row):
+        me = threading.current_thread()
+
+        def task(i, slot):
+            if (slot == 0) != (threading.current_thread() is me):
+                misplaced.append((row, i, slot))
+            hits[row, i] += 1
+
+        for _ in range(calls):
+            ad._POOL.run([lambda slot, i=i: task(i, slot) for i in range(tasks)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(row,)) for row in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not misplaced
+    assert (hits == calls).all()
+
+
+def test_a_failing_task_raises_in_the_caller():
+    def fail(slot):
+        raise ValueError(f"task failed in slot {slot}")
+
+    with pytest.raises(ValueError, match="task failed"):
+        ad._POOL.run([fail] * 4)
 
 
 def test_fd_maxpool():

@@ -1,6 +1,7 @@
 import bz2
 import gzip
 import json
+import os
 import platform
 import shutil
 import struct
@@ -62,6 +63,8 @@ def test_train_then_eval_matches_evaluate(tmp_path, tiny_config, capsys, monkeyp
         "heap_keeps_freed_arrays": HEAP_TUNED,
         "git_revision": checkout_head(SOURCE_ROOT),
         "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
+        # the caller and a helper thread where the process may use two CPUs
+        "conv_workers": min(2, len(os.sched_getaffinity(0))),
     }
     assert HEAP_TUNED or not (sys.platform == "linux" and platform.libc_ver()[0] == "glibc")
 
@@ -146,6 +149,8 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
         (TINY.replace("[train]\n", "[train]\nmode = partial_la\n"), "'partial_la'"),
         (TINY + "\n[output]\ndir = elsewhere\n", "unknown config section [output]"),
         (TINY + "\n[data]\nusps_train = usps/usps.bz2\n", "unknown config key 'usps_train'"),
+        # finite as a float, inf as a float32 weight
+        (TINY.replace("[train]\n", "[train]\nlam = 1e39\n"), "lam must be at most 3.40282e+38 in float32"),
     ):
         config = tmp_path / "bad.ini"
         config.write_text(bad)

@@ -106,6 +106,7 @@ def test_unknown_keys_rejected(tmp_path, section, key, message):
         ("train", "mode", "adapt", "mode must be one of"),
         ("train", "lam", "nan", "lam must be finite and >= 0"),
         ("train", "gamma", "inf", "gamma must be finite"),
+        ("train", "gamma", "1e39", r"gamma must be at most 3.40282e\+38 in float32, got 1e\+39"),
         ("train", "beta", "nan", "beta must be finite"),
         ("train", "alpha", "-inf", "alpha must be finite and > 0"),
         ("train", "seed", "-1", "seed must be >= 0"),
@@ -117,6 +118,12 @@ def test_bad_values_rejected(tmp_path, section, key, value, message):
     path = write_ini(tmp_path / "run.ini", {section: {key: value}})
     with pytest.raises(ConfigError, match=message):
         load_run_config(path)
+
+
+def test_a_weight_is_bounded_by_the_runs_dtype():
+    TrainConfig(lam=1e39, gamma=1e300, dtype="float64").validate()
+    with pytest.raises(ConfigError, match="lam must be at most"):
+        TrainConfig(lam=1e39).validate()
 
 
 def test_unreadable_and_malformed_files(tmp_path):
