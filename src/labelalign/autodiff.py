@@ -52,8 +52,9 @@ an output, and the buffers are allocated by the caller, so which thread runs
 a task changes no bit.  The caller claims tasks too, so it runs every task
 the helper has not started: if the host takes the second CPU away, a call
 runs as the serial loop and waits only for a task the helper has begun.  The
-helper starts on first use, as a daemon thread, moves off the caller's CPU,
-and calls only numpy.
+helper is the one worker of a ``ThreadPoolExecutor``, made on first use (and
+again in a forked child) and joined at exit.  It moves off the caller's CPU,
+runs its tasks under the caller's ``np.geterr()``, and calls only numpy.
 
 On import, glibc is asked to keep freed arrays in the process: a tape frees
 tens of MB per training step that the next step allocates again, and handing
@@ -70,8 +71,8 @@ from __future__ import annotations
 
 import ctypes
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -382,48 +383,6 @@ def _usable_cpus() -> int:
 CONV_WORKERS = min(2, _usable_cpus())
 
 
-class _Batch:
-    """One call's tasks; each runs once, on whichever thread claims it first.
-    A task is called with its thread's slot: 0 for the caller, 1 for the helper."""
-
-    def __init__(self, tasks):
-        self.tasks = tasks
-        self.claimed = 0
-        self.running = 0
-        self.error = None
-        self.errstate = np.geterr()
-        self.lock = threading.Lock()
-        self.idle = threading.Condition(self.lock)
-
-    def work(self, slot: int):
-        while True:
-            with self.lock:
-                if self.claimed >= len(self.tasks):
-                    return
-                task = self.tasks[self.claimed]
-                self.claimed += 1
-                self.running += 1
-            try:
-                task(slot)
-            except Exception as exc:  # raised in the caller once no task runs
-                with self.lock:
-                    self.error = self.error or exc
-                    self.claimed = len(self.tasks)
-            finally:
-                with self.lock:
-                    self.running -= 1
-                    self.idle.notify()
-
-    def close(self):
-        """Stop further claims, wait for the tasks already started and drop
-        the task list, so a batch the helper has not reached holds no arrays."""
-        with self.lock:
-            self.claimed = len(self.tasks)
-            while self.running:
-                self.idle.wait()
-            self.tasks = ()
-
-
 def _caller_cpu() -> int | None:
     """The CPU the calling thread runs on, or None where libc cannot say."""
     try:
@@ -435,7 +394,7 @@ def _caller_cpu() -> int | None:
     return cpu if cpu >= 0 else None
 
 
-def _serve(batches: queue.SimpleQueue, caller_cpu: int | None):
+def _leave_cpu(caller_cpu: int | None):
     # A kernel that does not balance load (a cpuset with sched_load_balance
     # off) keeps a new thread on its creator's CPU, where the helper would
     # only take turns with the caller; so the helper leaves the caller's CPU.
@@ -443,54 +402,57 @@ def _serve(batches: queue.SimpleQueue, caller_cpu: int | None):
         os.sched_setaffinity(0, os.sched_getaffinity(0) - {caller_cpu})
     except (AttributeError, OSError, ValueError):  # no affinity calls, or no other CPU
         pass
-    while True:
-        batch = batches.get()
-        with np.errstate(**batch.errstate):
-            batch.work(1)
 
 
-class _ConvPool:
-    """The caller plus one helper thread, started on first use.  The caller
-    posts its tasks and claims them too, so a task no thread has started when
-    the caller is free runs on the caller: a helper the host has descheduled
-    costs the call nothing but the tasks it already started."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pid = None
-        self._batches = None
-
-    def _queue(self) -> queue.SimpleQueue:
-        with self._lock:
-            if self._pid != os.getpid():  # first use, or a forked child, which has no helper
-                self._batches = queue.SimpleQueue()
-                helper = threading.Thread(
-                    target=_serve, args=(self._batches, _caller_cpu()), name="conv2d-helper", daemon=True
-                )
-                helper.start()
-                self._pid = os.getpid()
-            return self._batches
-
-    def run(self, tasks: list):
-        batch = _Batch(tasks)
-        self._queue().put(batch)
-        try:
-            batch.work(0)
-        finally:
-            batch.close()
-        if batch.error is not None:
-            raise batch.error
+_helper_lock = threading.Lock()
+_helper_pool: tuple[int | None, ThreadPoolExecutor | None] = (None, None)  # (the pid that made it, the pool)
 
 
-_POOL = _ConvPool()
+def _helper() -> ThreadPoolExecutor:
+    """The one helper thread's pool, made on first use and again in a forked
+    child, which inherits the pool but not its thread."""
+    global _helper_pool
+    with _helper_lock:
+        if _helper_pool[0] != os.getpid():
+            pool = ThreadPoolExecutor(1, "conv2d-helper", initializer=_leave_cpu, initargs=(_caller_cpu(),))
+            _helper_pool = (os.getpid(), pool)
+        return _helper_pool[1]
 
 
 def _run_tasks(tasks: list, workers: int):
+    """Run each task once as ``task(slot)``, on whichever thread claims it
+    first: slot 0 is the caller, slot 1 the helper.  The caller claims tasks
+    too, so a task no thread has started when the caller is free runs on the
+    caller: a helper the host has descheduled costs the call nothing but the
+    task it already started.  A failing task stops further claims, and its
+    exception is raised in the caller."""
     if workers < 2 or len(tasks) < 2:
         for task in tasks:
             task(0)
-    else:
-        _POOL.run(tasks)
+        return
+    unclaimed = tasks[::-1]  # popped from the end, so claimed in order
+    lock = threading.Lock()
+    errstate = np.geterr()
+
+    def claim(slot: int):
+        try:
+            with np.errstate(**errstate):  # the caller's, on either thread
+                while True:
+                    with lock:
+                        if not unclaimed:
+                            return
+                        task = unclaimed.pop()
+                    task(slot)
+        finally:
+            with lock:
+                unclaimed.clear()
+
+    future = _helper().submit(claim, 1)
+    try:
+        claim(0)
+    finally:
+        if not future.cancel():  # the helper began: wait for its task, and raise its error
+            future.result()
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

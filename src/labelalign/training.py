@@ -107,9 +107,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be one of {allowed}, got '{value}'")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got '{self.dtype}'")
-        # the terms are weighted in the run's dtype, where a larger weight is inf
+        # the weights and the gate sharpness are cast to the run's dtype, where a larger value is inf
         largest = float(np.finfo(self.np_dtype).max)
-        for name, value in (("lam", self.lam), ("gamma", self.gamma)):
+        for name, value in (("lam", self.lam), ("gamma", self.gamma), ("beta", self.beta)):
             if value > largest:
                 raise ConfigError(f"{name} must be at most {largest:.6g} in {self.dtype}, got {value}")
         return self

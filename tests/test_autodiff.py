@@ -1,6 +1,9 @@
 import math
+import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -583,19 +586,15 @@ def test_the_caller_finishes_a_call_alone_when_the_helper_takes_no_task(monkeypa
     serial = conv_and_grads(x, k, g, stride, padding)
     monkeypatch.setattr(ad, "CONV_WORKERS", 2)
 
-    class Stall:
-        """A batch that holds the helper until it is released."""
+    entered, released = threading.Event(), threading.Event()
 
-        errstate = np.geterr()
-        entered, released = threading.Event(), threading.Event()
+    def stall():
+        """Hold the helper until it is released."""
+        entered.set()
+        released.wait(60)
 
-        def work(self, slot):
-            self.entered.set()
-            self.released.wait(60)
-
-    stall = Stall()
-    ad._POOL._queue().put(stall)
-    assert stall.entered.wait(30)
+    ad._helper().submit(stall)
+    assert entered.wait(30)
     results = []
     caller = threading.Thread(target=lambda: results.append(conv_and_grads(x, k, g, stride, padding)))
     try:
@@ -603,7 +602,7 @@ def test_the_caller_finishes_a_call_alone_when_the_helper_takes_no_task(monkeypa
         caller.join(30)
         assert not caller.is_alive()
     finally:
-        stall.released.set()
+        released.set()
     assert_same_bits(results[0], serial)
 
 
@@ -622,7 +621,7 @@ def test_the_pool_runs_each_task_once_in_the_thread_it_names():
             hits[row, i] += 1
 
         for _ in range(calls):
-            ad._POOL.run([lambda slot, i=i: task(i, slot) for i in range(tasks)])
+            ad._run_tasks([lambda slot, i=i: task(i, slot) for i in range(tasks)], 2)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -639,12 +638,68 @@ def test_the_pool_runs_each_task_once_in_the_thread_it_names():
     assert (hits == calls).all()
 
 
+def in_both_slots(record):
+    """Two tasks that each record their slot and then wait, up to 30 s, for
+    the other: they finish only when the caller and the helper run one each."""
+    barrier = threading.Barrier(2, timeout=30)
+
+    def task(slot):
+        record(slot)
+        barrier.wait()
+
+    return [task, task]
+
+
 def test_a_failing_task_raises_in_the_caller():
+    ran = []
+
     def fail(slot):
+        ran.append(slot)
         raise ValueError(f"task failed in slot {slot}")
 
     with pytest.raises(ValueError, match="task failed"):
-        ad._POOL.run([fail] * 4)
+        ad._run_tasks([fail] * 16, 2)
+    assert len(ran) <= 2  # a failure stops further claims, so each thread fails once at most
+    slots = []  # and the helper is not stuck: the next call runs a task in each slot
+    ad._run_tasks(in_both_slots(slots.append), 2)
+    assert sorted(slots) == [0, 1]
+
+
+def test_every_task_runs_under_the_callers_errstate():
+    seen = {}
+    with np.errstate(over="raise", invalid="ignore"):
+        want = np.geterr()
+        ad._run_tasks(in_both_slots(lambda slot: seen.update({slot: np.geterr()})), 2)
+    assert want != np.geterr()
+    assert seen == {0: want, 1: want}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # forking a process that has threads
+def test_a_forked_child_runs_conv2d_on_two_workers_with_a_helper_of_its_own(monkeypatch):
+    x, k, g, stride, padding = split_case(monkeypatch, SPLIT_CASES[1], np.float64)
+    monkeypatch.setattr(ad, "CONV_WORKERS", 1)
+    serial = conv_and_grads(x, k, g, stride, padding)
+    monkeypatch.setattr(ad, "CONV_WORKERS", 2)
+    conv_and_grads(x, k, g, stride, padding)  # starts the parent's helper
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit status
+        status = 1
+        try:
+            slots = []
+            ad._run_tasks(in_both_slots(slots.append), 2)
+            assert_same_bits(conv_and_grads(x, k, g, stride, padding), serial)
+            status = 0 if sorted(slots) == [0, 1] else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the child did not finish in 60 s"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_fd_maxpool():
@@ -862,3 +917,4 @@ def test_release_drops_only_values_recorded_on_a_tape():
     assert np.isnan(recorded.data).all() and recorded.data.strides == (0, 0)  # no bytes of its own
     with pytest.raises(ValueError, match="read-only"):
         recorded.data[0, 0] = 1.0
+

@@ -151,6 +151,7 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
         (TINY + "\n[data]\nusps_train = usps/usps.bz2\n", "unknown config key 'usps_train'"),
         # finite as a float, inf as a float32 weight
         (TINY.replace("[train]\n", "[train]\nlam = 1e39\n"), "lam must be at most 3.40282e+38 in float32"),
+        (TINY.replace("[train]\n", "[train]\nbeta = 1e39\n"), "beta must be at most 3.40282e+38 in float32"),
     ):
         config = tmp_path / "bad.ini"
         config.write_text(bad)

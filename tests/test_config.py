@@ -108,6 +108,7 @@ def test_unknown_keys_rejected(tmp_path, section, key, message):
         ("train", "gamma", "inf", "gamma must be finite"),
         ("train", "gamma", "1e39", r"gamma must be at most 3.40282e\+38 in float32, got 1e\+39"),
         ("train", "beta", "nan", "beta must be finite"),
+        ("train", "beta", "1e39", r"beta must be at most 3.40282e\+38 in float32, got 1e\+39"),
         ("train", "alpha", "-inf", "alpha must be finite and > 0"),
         ("train", "seed", "-1", "seed must be >= 0"),
         ("data", "dataset", "cifar", "dataset must be one of"),
