@@ -1,11 +1,11 @@
 """Spectral label-alignment training for unsupervised domain adaptation.
 
 A labeled source domain and an unlabeled target domain share a feature
-extractor; per batch, the feature matrices are split spectrally with a
-learnable soft gate, the classifier trains on the leading spectrum of the
-source and is driven toward zero output on the trailing spectrum of the
-target.  A linear-regression lab verifies the underlying identities that
-motivate the construction.
+extractor; per batch, each feature matrix's spectrum is split at the label
+rank (the class count): the classifier trains on the leading spectrum of the
+source and is driven toward no class preference on the trailing spectrum of
+the target.  A linear-regression lab verifies the underlying identities, on
+the same split, that motivate the construction.
 """
 
 __version__ = "0.1.0"

@@ -309,25 +309,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # Split on sign so exp never overflows; saturates cleanly to 0/1.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_values(np.asarray(a.data))
-
-    def backward(out):
-        _accumulate(a, out.grad * s * (1.0 - s))
-
-    return _make(s, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # shape ops and reductions
 # ---------------------------------------------------------------------------

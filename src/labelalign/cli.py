@@ -162,8 +162,7 @@ def cmd_train(args) -> int:
         f"dtype={cfg.train.dtype} seed={cfg.train.seed}"
     )
     print(
-        f"     lam={cfg.train.lam} gamma={cfg.train.gamma} beta={cfg.train.beta} "
-        f"alpha={cfg.train.alpha} batch={cfg.train.batch_size} steps={cfg.train.steps}"
+        f"     lam={cfg.train.lam} alpha={cfg.train.alpha} batch={cfg.train.batch_size} steps={cfg.train.steps}"
     )
     print(f"     config sha256 {config_sha256}")
 

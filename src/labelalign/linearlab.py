@@ -7,10 +7,10 @@ This module generates such problems, evaluates every objective form at
 64-bit, and checks the pairwise identities across sizes and seeds.
 
 The matrix forms run training's own filter, :func:`spectral.spectral_filter`,
-with the hard 0/1 gate ``w_i = [i < k]`` on the source and its complement
-``[i >= k]`` on the target: the linear theory is stated with exact ranks, and
-a hard gate is the soft gate's limit.  So the identity suite checks the
-filter and the split, not the deep objective built on them.
+with training's own split: the 0/1 weights ``w_i = [i < k]`` of
+:func:`spectral.gate_weights` on the source and ``1 - w`` on the target.  So
+the identity suite checks the filter and the exact split the deep objective
+uses, not the objective built on them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .spectral import SvdFactors, spectral_filter
+from .spectral import SvdFactors, gate_weights, spectral_filter
 
 FORMS = ("full", "decomposed", "uda", "combined", "matrix_top", "matrix_bottom")
 
@@ -100,9 +100,11 @@ def _terms(problem: LinearProblem, w: np.ndarray, k: int):
     return fit_top, trail_src, trail_tgt, yu
 
 
-def _hard_filter(phi: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``spectral_filter`` of ``phi`` at float64 with the 0/1 gate ``keep``."""
-    return spectral_filter(Tensor(phi), Tensor(keep)).data
+def _hard_filter(phi: np.ndarray, k: int, top: bool) -> np.ndarray:
+    """``spectral_filter`` of ``phi`` at float64 with training's split at
+    ``k``: the leading ``k`` directions (``top``), or the rest."""
+    w = gate_weights(k, min(phi.shape), np.float64)
+    return spectral_filter(Tensor(phi), w if top else 1 - w).data
 
 
 def _squared_residual(filtered: np.ndarray, w: np.ndarray, y) -> float:
@@ -130,11 +132,10 @@ def linear_objective(problem: LinearProblem, w: np.ndarray, k: int, form: str) -
     w = np.asarray(w, dtype=np.float64)
     if form == "full":
         return float(np.sum((problem.phi @ w - problem.y) ** 2))
-    keep = np.arange(problem.d) < k
     if form == "matrix_top":
-        return _squared_residual(_hard_filter(problem.phi, keep), w, problem.y)
+        return _squared_residual(_hard_filter(problem.phi, k, top=True), w, problem.y)
     if form == "matrix_bottom":
-        return _squared_residual(_hard_filter(problem.phi_tilde, ~keep), w, 0.0)
+        return _squared_residual(_hard_filter(problem.phi_tilde, k, top=False), w, 0.0)
     fit_top, trail_src, trail_tgt, _ = _terms(problem, w, k)
     if form == "decomposed":
         return fit_top + trail_src
@@ -210,9 +211,8 @@ def identity_suite(
         k = min(k_star, d)
         for seed in range(seeds):
             problem = gen_synthetic(n, d, k, noise=noise, seed=seed)
-            keep = np.arange(d) < k
-            top = _hard_filter(problem.phi, keep)
-            bottom = _hard_filter(problem.phi_tilde, ~keep)
+            top = _hard_filter(problem.phi, k, top=True)
+            bottom = _hard_filter(problem.phi_tilde, k, top=False)
             rng = np.random.Generator(np.random.PCG64(seed + 7919))
             worst: dict[str, tuple[float, float]] = {}
             for _ in range(draws):

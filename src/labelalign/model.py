@@ -18,7 +18,7 @@ not depend on the stage layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class ModelSpec:
         shapes["feat_b"] = (self.feature_dim,)
         shapes["head_w"] = (self.feature_dim, self.classes)
         shapes["head_b"] = (self.classes,)
-        shapes["k_hat"] = ()
         return shapes
 
 
@@ -84,15 +83,12 @@ def build_model(spec: ModelSpec, seed: int, dtype=np.float32) -> dict[str, Tenso
     """Seeded initialization; identical seeds give bitwise-identical weights.
 
     Weight matrices/kernels draw from a zero-mean normal scaled by the He fan-in
-    rule, biases start at zero, and the gate parameter ``k_hat`` draws from a
-    standard normal.
+    rule, and biases start at zero.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     params = {}
     for name, shape in spec.param_shapes().items():
-        if name == "k_hat":
-            value = rng.standard_normal()
-        elif name.endswith("_b"):
+        if name.endswith("_b"):
             value = np.zeros(shape)
         else:
             value = rng.standard_normal(shape) * _init_std(shape)

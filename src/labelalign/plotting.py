@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 
-METRICS_HEADER = "step,total,cls,align,k_reg,k,src_acc,val_acc,wall_ms"
+METRICS_HEADER = "step,total,cls,align,k,src_acc,val_acc,wall_ms"
 _OPTIONAL = ("val_acc", "wall_ms")
 
 _WIDTH, _HEIGHT = 960, 540
@@ -27,10 +27,10 @@ class PlotError(Exception):
 
 def metrics_row(record, train) -> str:
     """One ``metrics.csv`` line (no newline) for a training step's record;
-    ``train`` supplies the ``lam`` and ``gamma`` weights of the logged terms.
+    ``train`` supplies the ``lam`` weight of the logged alignment term.
     Floats are written with ``repr``, so they read back exactly."""
     p = record.parts
-    values = (p.total, p.cls, train.lam * p.align, train.gamma * p.k_reg, p.k, record.src_acc)
+    values = (p.total, p.cls, train.lam * p.align, p.k, record.src_acc)
     return ",".join([
         str(record.step),
         *(repr(float(v)) for v in values),

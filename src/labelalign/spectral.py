@@ -1,22 +1,19 @@
-"""Thin SVD, sigmoid soft-gating of the spectrum, and differentiable filters.
+"""Thin SVD, the hard split of a spectrum at a cut, and the spectral filter.
 
 A feature matrix ``phi`` (n x d) factors as ``U diag(sigma) V^T`` with
-``r = min(n, d)``.  :func:`gate_weights` turns a normalized cut position
-``k in (0, 1)`` (the caller's ``sigmoid(k_hat)``) into per-index weights
-
-    w_i = 1 / (1 + exp(beta * (i - k*r)))        for i = 1..r
-
-so ``w`` decays from ~1 to ~0 around the real-valued cut index ``k*r``.
+``r = min(n, d)``.  :func:`gate_weights` gives the 0/1 weights
+``w_i = [i < cut]`` over spectrum indices ``i = 0..r-1``, and
 :func:`spectral_filter` applies the weights it is given: it reconstructs
-``U diag(w * sigma) V^T``.  Passing ``w`` keeps the leading spectrum; a
-caller that wants the trailing one passes ``1 - w``, built on the tape, and
-the two filters sum back to the reconstruction of ``phi``.
+``U diag(w * sigma) V^T``.  Passing ``w`` keeps the leading ``cut``
+directions, passing ``1 - w`` keeps the rest, and the two filters sum back
+to the reconstruction of ``phi``.  The weights are constants: no gradient
+flows to them.
 
-Gradients come in two flavours:
+Gradients w.r.t. ``phi`` come in two flavours:
 
 * ``projected`` (default): the factors are treated as constants and the
-  gradient w.r.t. ``phi`` flows through the algebraically equal projection
-  ``phi @ V diag(w) V^T``; the gradient w.r.t. ``k`` flows through ``w``.
+  gradient flows through the algebraically equal projection
+  ``phi @ V diag(w) V^T``.
 * ``full``: additionally differentiates through the factors themselves with
   the standard SVD differential; cross-singular-value denominators
   ``sigma_j^2 - sigma_i^2`` are clamped in magnitude to avoid blowups on
@@ -33,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, _make, scale, sigmoid, sub
+from .autodiff import Tensor, _accumulate, _make
 
 logger = logging.getLogger(__name__)
 
@@ -94,16 +91,12 @@ def thin_svd(phi) -> SvdFactors:
 # ---------------------------------------------------------------------------
 
 
-def gate_weights(k: Tensor, beta: float, r: int) -> Tensor:
-    """Soft gate weights over spectrum indices 1..r for the normalized cut
-    ``k`` in (0, 1); differentiable in ``k``."""
-    if r < 1:
-        raise SpectralError(f"gate needs r >= 1, got {r}")
-    if beta <= 0:
-        raise SpectralError(f"gate sharpness must be positive, got {beta}")
-    idx = Tensor(np.arange(1, r + 1, dtype=k.data.dtype))
-    # w = sigmoid(beta * (k*r - i)) == 1 / (1 + exp(beta * (i - k*r)))
-    return sigmoid(scale(sub(scale(k, float(r)), idx), float(beta)))
+def gate_weights(cut: int, r: int, dtype) -> np.ndarray:
+    """0/1 weights over spectrum indices ``0..r-1`` that keep the leading
+    ``cut`` of them; ``1 - w`` keeps the rest."""
+    if not 0 <= cut <= r:
+        raise SpectralError(f"the cut {cut} lies outside the spectrum's 0..{r} indices")
+    return (np.arange(r) < cut).astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +118,17 @@ def _svd_backward(u, s, v, du, ds, dv):
     diff = s2[None, :] - s2[:, None]
     tau = _DENOM_CLAMP_REL * smax2
     clamped = np.abs(diff) < tau
-    off_diag = ~np.eye(r, dtype=bool)
-    n_small = int((clamped & off_diag).sum())
+    n_small = int(np.count_nonzero(clamped) - np.count_nonzero(clamped.diagonal()))
     if n_small:
         clamped_terms += n_small
-        logger.debug(
-            "clamped cross terms: %d cross-term denominators clamped (min gap %.3g)",
-            n_small,
-            float(np.abs(diff[off_diag]).min()),
-        )
+        if logger.isEnabledFor(logging.DEBUG):
+            gaps = np.abs(diff)
+            np.fill_diagonal(gaps, np.inf)
+            logger.debug(
+                "clamped cross terms: %d cross-term denominators clamped (min gap %.3g)",
+                n_small,
+                float(gaps.min()),
+            )
     f = 1.0 / np.where(clamped, np.where(diff < 0, -tau, tau), diff)
     np.fill_diagonal(f, 0.0)
 
@@ -158,37 +153,30 @@ def _svd_backward(u, s, v, du, ds, dv):
 # ---------------------------------------------------------------------------
 
 
-def spectral_filter(phi: Tensor, w: Tensor, mode: str = "projected") -> Tensor:
-    """Gate-weighted spectral reconstruction ``U diag(w * sigma) V^T`` of
-    ``phi``.
+def spectral_filter(phi: Tensor, w: np.ndarray, mode: str = "projected") -> Tensor:
+    """Weighted spectral reconstruction ``U diag(w * sigma) V^T`` of ``phi``.
 
-    ``w`` is a weight tensor of length ``min(phi.shape)``: the gate from
-    :func:`gate_weights` keeps the leading spectrum, and ``1 - w`` the
-    trailing one.
+    ``w`` is an array of length ``min(phi.shape)``: :func:`gate_weights`
+    keeps the leading spectrum, and ``1 - w`` the trailing one.
     """
     if mode not in GRADIENT_MODES:
         raise SpectralError(f"unknown gradient mode '{mode}'")
     factors = thin_svd(phi)
     u, s, v = factors.u, factors.sigma, factors.v
-    w_data = w.data  # read once here: the backward pass may find w released
-    if w_data.shape != s.shape:
+    if w.shape != s.shape:
         raise SpectralError(
-            f"gate weights shape {w_data.shape} does not match spectrum length {s.shape[0]}"
+            f"gate weights shape {w.shape} does not match spectrum length {s.shape[0]}"
         )
-    s_used = w_data * s
+    s_used = w * s
 
     def backward(out):
         g = out.grad
-        m = u.T @ g @ v  # r x r, shared by the w-gradient and full mode
-        if w.requires_grad:
-            _accumulate(w, s * np.diagonal(m))
-        if phi.requires_grad:
-            if mode == "projected":
-                _accumulate(phi, g @ ((v * w_data) @ v.T))
-            else:
-                du = g @ (v * s_used)
-                dv = g.T @ (u * s_used)
-                ds = w_data * np.diagonal(m)
-                _accumulate(phi, _svd_backward(u, s, v, du, ds, dv))
+        if mode == "projected":
+            _accumulate(phi, g @ ((v * w) @ v.T))
+        else:
+            du = g @ (v * s_used)
+            dv = g.T @ (u * s_used)
+            ds = w * np.diagonal(u.T @ g @ v)
+            _accumulate(phi, _svd_backward(u, s, v, du, ds, dv))
 
-    return _make((u * s_used) @ v.T, (phi, w), backward)
+    return _make((u * s_used) @ v.T, (phi,), backward)

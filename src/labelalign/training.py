@@ -1,39 +1,42 @@
 """The adaptation objective and the training loop.
 
-Per step: sample a labeled source batch and an unlabeled target batch, build
-a gate ``w`` from the learnable cut ``k = sigmoid(k_hat)``, filter the source
-features spectrally with ``w`` and the target features with ``1 - w``, then
+Per step: sample a labeled source batch and an unlabeled target batch, split
+each batch's feature spectrum at the label rank ``C = spec.classes``, keep
+the source's leading ``C`` directions and the target's trailing ones, then
 minimize
 
-    CE(g(F_w(source))) + lam * ||softmax(g(F_{1-w}(target)))||^2 + gamma * k^2
+    CE(g(F_w(source))) + lam * ||softmax(g(F_{1-w}(target)))||^2
 
-where ``F_w`` is :func:`spectral.spectral_filter` with weights ``w``, ``CE``
-is the softmax cross-entropy and ``k`` is the normalized gate position.  The
-source keeps its leading spectrum, the target its trailing spectrum; the
-alignment term, smallest at a uniform softmax, drives ``g`` to no class
-preference there, suppressing directions carrying no label variation.
+where ``w = spectral.gate_weights(C, r, dtype)`` is the 0/1 cut over the
+``r = min(batch, feature_dim)`` spectrum indices, ``F_w`` is
+:func:`spectral.spectral_filter` with weights ``w`` and ``CE`` is the softmax
+cross-entropy.  One-hot labels of ``C`` classes span at most ``C``
+directions, so the model sets the cut, not a knob.  The alignment term,
+smallest at a uniform softmax, drives ``g`` to no class preference on the
+target's trailing spectrum, suppressing directions carrying no label
+variation.
 
-The two domains share only the weights and the gate, so :func:`dla_loss`
-builds one domain's terms on their own tape, and a step walks the source's
-cross-entropy before it builds the target's ``lam * align + gamma * k^2``
+The two domains share only the weights, so :func:`dla_loss` builds one
+domain's terms on their own tape, and a step walks the source's
+cross-entropy before it builds the target's ``lam * align``
 (:func:`walk_domains`): a step never holds both feature passes, and the
 parameter gradients add up across the two walks.
 
 Imani et al.'s linear method (arXiv 2211.14960), which this generalises,
-penalises a regressor's bias-free ``||bottom(phi_t) @ w||^2``.  Here the head
-is a classifier with a bias and a softmax, and a penalty on class
-probabilities stays at most 1 per row whatever the scale of the features or
-the head, so ``lam`` alone sets its weight against the cross-entropy; the
-price is a weak gradient near a uniform softmax.  :mod:`.linearlab` runs
-``spectral_filter`` with a hard 0/1 gate and its complement, so its identity
-suite verifies the filter and the split, not this objective (softmax, bias,
-soft gate).
+penalises a regressor's bias-free ``||bottom(phi_t) @ w||^2`` at a fixed cut.
+Here the head is a classifier with a bias and a softmax, and a penalty on
+class probabilities stays at most 1 per row whatever the scale of the
+features or the head, so ``lam`` alone sets its weight against the
+cross-entropy; the price is a weak gradient near a uniform softmax.
+:mod:`.linearlab` runs ``spectral_filter`` with the same ``gate_weights``
+split, so its identity suite verifies the filter and the split this
+objective uses, not the objective itself (softmax, bias).
 
 Modes:
 
 * ``dla``        the full objective above.
-* ``no_adapt``   source-only baseline: no spectral filter runs, the gate
-  parameter is not trained, and the alignment and rank terms are zero.
+* ``no_adapt``   source-only baseline: no spectral filter runs and the
+  alignment term is zero.
 
 Evaluation always bypasses the filter: a per-batch SVD is ill-defined for
 single-example inference, so accuracy is measured on raw features.
@@ -70,8 +73,6 @@ class TrainingAborted(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     lam: float = 1e-3
-    gamma: float = 1e-3
-    beta: float = 5.0
     alpha: float = 1e-3
     batch_size: int = 128
     steps: int = 2100
@@ -89,10 +90,6 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0 <= self.lam < math.inf:
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if not 0 <= self.gamma < math.inf:
-            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not 0 < self.beta < math.inf:
-            raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
         if not 0 < self.alpha < math.inf:
             raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.val_every < 0:
@@ -107,11 +104,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be one of {allowed}, got '{value}'")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got '{self.dtype}'")
-        # the weights and the gate sharpness are cast to the run's dtype, where a larger value is inf
+        # lam is cast to the run's dtype, where a larger value is inf
         largest = float(np.finfo(self.np_dtype).max)
-        for name, value in (("lam", self.lam), ("gamma", self.gamma), ("beta", self.beta)):
-            if value > largest:
-                raise ConfigError(f"{name} must be at most {largest:.6g} in {self.dtype}, got {value}")
+        if self.lam > largest:
+            raise ConfigError(f"lam must be at most {largest:.6g} in {self.dtype}, got {self.lam}")
         return self
 
     @property
@@ -121,11 +117,11 @@ class TrainConfig:
 
 @dataclass
 class DlaLossParts:
-    """Raw (unweighted) loss terms; total applies the lam/gamma weights."""
+    """Raw (unweighted) loss terms; total applies the lam weight.  ``k`` is
+    the cut's share of the spectrum, ``C / min(batch, feature_dim)``."""
 
     cls: float
     align: float
-    k_reg: float
     total: float
     k: float
 
@@ -165,9 +161,10 @@ def dla_loss(
     0), and the detached source probabilities (for batch accuracy).
 
     With ``labels``, the batch is the source's and the tensor is ``cls``,
-    through the gate ``w`` in ``dla`` mode.  Without, it is the target's and
-    the tensor is ``lam * align + gamma * k^2``, through ``1 - w``, with None
-    for the probabilities; ``no_adapt`` mode has no target term.
+    through its leading ``C`` spectrum directions in ``dla`` mode.  Without,
+    it is the target's and the tensor is ``lam * align``, through the
+    trailing ones, with None for the probabilities; ``no_adapt`` mode has no
+    target term.
     """
     domain = "target" if labels is None else "source"
     adapt = cfg.mode == "dla"
@@ -177,24 +174,21 @@ def dla_loss(
         raise ConfigError(f"{domain} batch is empty")
 
     dtype = cfg.np_dtype
-    k = ad.sigmoid(params["k_hat"])
     phi = forward_features(params, spec, Tensor(np.asarray(images, dtype=dtype)))
+    r = min(phi.shape)
     if adapt:
-        w = spectral.gate_weights(k, cfg.beta, min(phi.shape))
-        if domain == "target":
-            w = ad.sub(np.ones((), dtype), w)
-        phi = spectral_filter(phi, w, cfg.gradient_mode)
+        w = spectral.gate_weights(spec.classes, r, dtype)
+        phi = spectral_filter(phi, w if domain == "source" else 1 - w, cfg.gradient_mode)
     scores = forward_head(params, phi)
+    k = spec.classes / r
     if domain == "source":
         total_t, probs = ad.softmax_cross_entropy(scores, labels)
         cls = float(total_t.data)
-        return total_t, DlaLossParts(cls, 0.0, 0.0, cls, float(k.data)), probs.data
+        return total_t, DlaLossParts(cls, 0.0, cls, k), probs.data
 
     align_t = ad.mean_squared_norm(ad.softmax(scores))
-    kreg_t = ad.mul(k, k)
-    total_t = ad.add(ad.scale(align_t, cfg.lam), ad.scale(kreg_t, cfg.gamma))
-    parts = DlaLossParts(0.0, float(align_t.data), float(kreg_t.data), float(total_t.data), float(k.data))
-    return total_t, parts, None
+    total_t = ad.scale(align_t, cfg.lam)
+    return total_t, DlaLossParts(0.0, float(align_t.data), float(total_t.data), k), None
 
 
 def walk_domains(
@@ -202,9 +196,9 @@ def walk_domains(
 ) -> tuple[DlaLossParts, np.ndarray]:
     """Fill the gradients of one step's objective a domain at a time: build
     the source term with :func:`dla_loss` and walk it, then, with a target
-    batch, build the target's terms and walk them.  Returns the loss parts,
-    with ``total = (cls + lam * align) + gamma * k^2`` rounded in the run's
-    dtype, and the source probabilities.
+    batch, build the target's term and walk it.  Returns the loss parts,
+    with ``total = cls + lam * align`` rounded in the run's dtype, and the
+    source probabilities.
 
     Raises :class:`TrainingAborted`, naming ``step`` and the domain, on a
     non-finite term before walking it.
@@ -222,25 +216,17 @@ def walk_domains(
         return source, probs
     target, _ = walk("target", batch.target_images, None)
     dtype = cfg.np_dtype
-    lam_align = dtype(target.align) * dtype(cfg.lam)
-    gamma_kreg = dtype(target.k_reg) * dtype(cfg.gamma)
-    total = float((dtype(source.cls) + lam_align) + gamma_kreg)
-    return DlaLossParts(source.cls, target.align, target.k_reg, total, source.k), probs
-
-
-def trainable_names(params: dict[str, Tensor], cfg: TrainConfig) -> list[str]:
-    """All weights, plus the gate parameter whenever the filter runs."""
-    names = [n for n in params if n != "k_hat"]
-    if cfg.mode == "dla":
-        names.append("k_hat")
-    return names
+    total = float(dtype(source.cls) + dtype(target.align) * dtype(cfg.lam))
+    return DlaLossParts(source.cls, target.align, total, source.k), probs
 
 
 def check_run(cfg: TrainConfig, data: TrainData, spec: ModelSpec = DEFAULT_SPEC):
     """Raise :class:`ConfigError` for a run that cannot start: an invalid
-    config, ``dla`` without a target dataset, images of another shape than
-    the model takes, a batch larger than a dataset the run draws from, or
-    an empty validation set that ``val_every`` would score."""
+    config, ``dla`` without a target dataset or with a spectrum no longer
+    than the class count (the target would keep no trailing direction),
+    images of another shape than the model takes, a batch larger than a
+    dataset the run draws from, or an empty validation set that
+    ``val_every`` would score."""
     cfg.validate()
     expected = (spec.in_channels, *spec.image_hw)
     for name in ("source", "target", "val", "test"):
@@ -251,6 +237,12 @@ def check_run(cfg: TrainConfig, data: TrainData, spec: ModelSpec = DEFAULT_SPEC)
             )
     if cfg.mode == "dla" and data.target is None:
         raise ConfigError("dla mode needs an unlabeled target dataset")
+    if cfg.mode == "dla" and min(cfg.batch_size, spec.feature_dim) <= spec.classes:
+        raise ConfigError(
+            f"dla keeps a batch's first {spec.classes} spectrum directions (the class count) for the "
+            f"source and the rest for the target, so min(batch_size {cfg.batch_size}, feature width "
+            f"{spec.feature_dim}) must be above {spec.classes}"
+        )
     if cfg.val_every and data.val is not None and len(data.val) == 0:
         raise ConfigError("the val dataset is empty, so val_every must be 0")
     target = data.target if cfg.mode == "dla" else None
@@ -280,7 +272,6 @@ def train(
     seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
     params = build_model(spec, int(seeds[0]), dtype=cfg.np_dtype)
     optimizer = Adam(cfg.alpha)
-    trainable = {name: params[name] for name in trainable_names(params, cfg)}
 
     src_sampler = BatchSampler(len(data.source), cfg.batch_size, int(seeds[1]))
     tgt_sampler = None
@@ -309,8 +300,8 @@ def train(
                     spectral.clamped_terms - clamps_before,
                 )
             clamping_steps += 1
-        optimizer.step(trainable)
-        overflowed = [name for name, p in trainable.items() if not np.isfinite(p.data).all()]
+        optimizer.step(params)
+        overflowed = [name for name, p in params.items() if not np.isfinite(p.data).all()]
         if overflowed:
             raise TrainingAborted(f"step {step}: the weights went non-finite: {', '.join(overflowed)}")
         src_acc = float((probs.argmax(axis=1) == batch.source_labels).mean())
@@ -342,8 +333,7 @@ def evaluate(
     dataset: ImageDataset,
     batch_size: int = 256,
 ) -> float:
-    """Accuracy of argmax(g(f(x))) on a labeled dataset; no spectral filter,
-    so the result is invariant to the gate parameter."""
+    """Accuracy of argmax(g(f(x))) on a labeled dataset; no spectral filter."""
     if dataset.labels is None:
         raise ConfigError("evaluation needs a labeled dataset")
     if len(dataset) == 0:

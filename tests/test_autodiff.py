@@ -323,13 +323,6 @@ def test_relu_matches_where_bitwise(case):
     assert t.grad.tobytes() == (g * (a > 0)).tobytes()
 
 
-def test_fd_sigmoid():
-    _fd_check(
-        lambda a: ad.tsum(ad.sigmoid(a)),
-        lambda rng: [rng.standard_normal((6,))],
-    )
-
-
 def test_fd_reshape_sum_mean():
     _fd_check(
         lambda a: ad.tsum(ad.mul(ad.reshape(a, (24,)), ad.reshape(ad.transpose(a, (1, 2, 0)), (24,)))),
@@ -835,7 +828,6 @@ RELEASE_CASES = {
     "scale": ([(3, 4)], lambda a: ad.scale(a, -1.7)),
     "matmul": ([(3, 4), (4, 5)], lambda a, b: ad.matmul(a, b)),
     "relu": ([(3, 4)], lambda a: ad.relu(a)),
-    "sigmoid": ([(3, 4)], lambda a: ad.sigmoid(a)),
     "softmax": ([(3, 4)], lambda a: ad.softmax(a)),
     "softmax_cross_entropy": ([(3, 4)], lambda a: ad.softmax_cross_entropy(a, np.array([0, 2, 1]))[0]),
     "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
@@ -847,14 +839,12 @@ RELEASE_CASES = {
     "conv2d_pad0": ([(2, 6, 6, 3), (4, 2, 3, 3)], lambda x, k: ad.conv2d(x, k)),
     "conv2d_pad1": ([(2, 6, 6, 3), (4, 2, 3, 3)], lambda x, k: ad.conv2d(x, k, padding=1)),
     "spectral_filter_projected": (
-        [(6, 4), (4,)],
-        lambda phi, w: spectral.spectral_filter(phi, ad.sigmoid(w), "projected"),
+        [(6, 4)],
+        lambda phi: spectral.spectral_filter(phi, spectral.gate_weights(2, 4, phi.dtype), "projected"),
     ),
     "spectral_filter_full": (
-        [(6, 4), (4,)],
-        lambda phi, w: spectral.spectral_filter(
-            phi, ad.sub(np.ones((), w.dtype), ad.sigmoid(w)), "full"
-        ),
+        [(6, 4)],
+        lambda phi: spectral.spectral_filter(phi, 1 - spectral.gate_weights(2, 4, phi.dtype), "full"),
     ),
 }
 

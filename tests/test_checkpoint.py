@@ -29,7 +29,7 @@ def test_round_trip_keeps_shapes_and_bits(tmp_path):
     save_checkpoint(path, params, ECHO)
     arrays, echo = load_checkpoint(path)
     assert echo == ECHO
-    assert arrays["k_hat"].shape == ()
+    assert arrays["head_b"].shape == (DEFAULT_SPEC.classes,)
     restored = restore_params(arrays, DEFAULT_SPEC.param_shapes())
     for name, tensor in params.items():
         assert restored[name].data.dtype == tensor.data.dtype
@@ -38,8 +38,8 @@ def test_round_trip_keeps_shapes_and_bits(tmp_path):
 
 def test_restore_rejects_shape_mismatch():
     arrays = {name: t.data for name, t in build_model(DEFAULT_SPEC, seed=0).items()}
-    arrays["k_hat"] = arrays["k_hat"].reshape(1)
-    with pytest.raises(CheckpointError, match="shape mismatch for 'k_hat'"):
+    arrays["head_b"] = arrays["head_b"].reshape(1, -1)
+    with pytest.raises(CheckpointError, match="shape mismatch for 'head_b'"):
         restore_params(arrays, DEFAULT_SPEC.param_shapes())
 
 

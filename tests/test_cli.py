@@ -89,7 +89,6 @@ def test_train_then_eval_matches_evaluate(tmp_path, tiny_config, capsys, monkeyp
             "total": r.parts.total,
             "cls": r.parts.cls,
             "align": cfg.train.lam * r.parts.align,
-            "k_reg": cfg.train.gamma * r.parts.k_reg,
             "k": r.parts.k,
             "src_acc": r.src_acc,
             "val_acc": r.val_acc,
@@ -151,7 +150,11 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
         (TINY + "\n[data]\nusps_train = usps/usps.bz2\n", "unknown config key 'usps_train'"),
         # finite as a float, inf as a float32 weight
         (TINY.replace("[train]\n", "[train]\nlam = 1e39\n"), "lam must be at most 3.40282e+38 in float32"),
-        (TINY.replace("[train]\n", "[train]\nbeta = 1e39\n"), "beta must be at most 3.40282e+38 in float32"),
+        # keys of the learnable gate the fixed cut replaced
+        (TINY.replace("[train]\n", "[train]\nbeta = 5.0\n"), "unknown config key 'beta' in section [train]"),
+        (TINY.replace("[train]\n", "[train]\ngamma = 0.001\n"), "unknown config key 'gamma' in section [train]"),
+        # the target would keep none of the first 10 spectrum directions
+        (TINY.replace("batch_size = 16", "batch_size = 10"), "min(batch_size 10, feature width 128) must be above 10"),
     ):
         config = tmp_path / "bad.ini"
         config.write_text(bad)
@@ -178,6 +181,8 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
         ("[output]\ndir = runs/latest\n", "unknown config section [output]"),
         ("[data]\nmnist_train_images = m.gz\n", "unknown config key 'mnist_train_images' in section [data]"),
         ("[train]\nmode = partial_la\n", "got 'partial_la'"),
+        ("[train]\ngamma = 0.001\n", "unknown config key 'gamma' in section [train]"),
+        ("[train]\nbeta = 5.0\n", "unknown config key 'beta' in section [train]"),
         ("steps = 3\n", "malformed config in checkpoint"),
     ):
         stale = tmp_path / "stale.ckpt"
@@ -216,7 +221,7 @@ def with_params(*entries) -> bytes:
 
 
 def entry(**changes):
-    base = {"name": "k_hat", "shape": [], "dtype": "float32", "offset": 0, "nbytes": 4}
+    base = {"name": "head_b", "shape": [], "dtype": "float32", "offset": 0, "nbytes": 4}
     return {key: value for key, value in {**base, **changes}.items() if value is not None}
 
 
@@ -245,12 +250,12 @@ def test_corrupt_checkpoint_exits_2(tmp_path, tiny_config, capsys):
             hand_built({"config": {"train.seed": "0"}, "params": []}, version=1),
             "unsupported version 1",
         ),
-        "entry_not_object": (with_params("k_hat"), "lacks one of"),
+        "entry_not_object": (with_params("head_b"), "lacks one of"),
         "entry_without_nbytes": (with_params(entry(nbytes=None)), "lacks one of"),
         "negative_offset": (with_params(entry(offset=-4)), "negative or non-integer offset"),
         "unknown_dtype": (with_params(entry(dtype="nonsense")), "unknown dtype 'nonsense'"),
         "nbytes_not_shape_size": (with_params(entry(shape=[3], nbytes=4)), "not 12 for [3]"),
-        "blob_past_end": (with_params(entry(shape=[8], nbytes=32)), "truncated blob for 'k_hat'"),
+        "blob_past_end": (with_params(entry(shape=[8], nbytes=32)), "truncated blob for 'head_b'"),
     }
     for name, (raw, fragment) in cases.items():
         path = tmp_path / f"{name}.ckpt"

@@ -34,18 +34,18 @@ def test_read_metrics_parses_numbers_and_empty_cells(tiny_metrics):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("1,2.0,1.0", "line 3: expected 9 cells"),
-        ("1,2.0,1.0,0.5,0.1,0.4,0.5,,,7", "line 3: expected 9 cells"),
-        ("1,2.0,abc,0.5,0.1,0.4,0.5,,", "line 3: cls 'abc' is not a number"),
-        ("1,2.0,1.0,0.5,0.1,0.4,0.5,nan,", "line 3: val_acc is nan, not a finite number"),
-        ("1,inf,1.0,0.5,0.1,0.4,0.5,,", "line 3: total is inf, not a finite number"),
-        ("1.5,2.0,1.0,0.5,0.1,0.4,0.5,,", "line 3: step '1.5' is not a number"),
+        ("1,2.0,1.0", "line 3: expected 8 cells"),
+        ("1,2.0,1.0,0.5,0.4,0.5,,,7", "line 3: expected 8 cells"),
+        ("1,2.0,abc,0.5,0.4,0.5,,", "line 3: cls 'abc' is not a number"),
+        ("1,2.0,1.0,0.5,0.4,0.5,nan,", "line 3: val_acc is nan, not a finite number"),
+        ("1,inf,1.0,0.5,0.4,0.5,,", "line 3: total is inf, not a finite number"),
+        ("1.5,2.0,1.0,0.5,0.4,0.5,,", "line 3: step '1.5' is not a number"),
     ],
     ids=["missing", "extra", "text", "nan", "inf", "fractional_step"],
 )
 def test_malformed_rows_exit_2_naming_the_line(tmp_path, capsys, row, message):
     path = tmp_path / "metrics.csv"
-    path.write_text(f"{METRICS_HEADER}\n1,2.0,1.0,0.5,0.1,0.4,0.5,,\n{row}\n")
+    path.write_text(f"{METRICS_HEADER}\n1,2.0,1.0,0.5,0.4,0.5,,\n{row}\n")
     with pytest.raises(PlotError, match=message):
         read_metrics(path)
     assert main(["plot", "--metrics", str(path), "--out", str(tmp_path / "c.svg")]) == EXIT_RUNTIME

@@ -3,6 +3,7 @@ import platform
 import resource
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from labelalign import training
 from labelalign.autodiff import Tensor
 from labelalign.data import DomainBatch, make_synthetic, synthetic_domains
 from labelalign.model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
-from labelalign.training import ConfigError, TrainConfig, TrainData, TrainingAborted, dla_loss, evaluate, train, trainable_names
+from labelalign.training import ConfigError, TrainConfig, TrainData, TrainingAborted, check_run, dla_loss, evaluate, train
 
 SPEC = ModelSpec(image_hw=(8, 8), conv_channels=(2,), feature_dim=4, classes=3)
 BATCH = 6
@@ -30,12 +31,8 @@ def batches(seed=0):
 def worst_gradient_error(mode, gradient_mode, names=None):
     """Largest relative error between the gradients ``walk_domains`` fills
     and float64 central differences of the sum of its per-domain
-    ``dla_loss`` totals, over the named parameters (default: the trainable
-    ones)."""
-    cfg = TrainConfig(
-        lam=0.5, gamma=0.1, batch_size=BATCH, mode=mode, gradient_mode=gradient_mode,
-        dtype="float64",
-    )
+    ``dla_loss`` totals, over the named parameters (default: all of them)."""
+    cfg = TrainConfig(lam=0.5, batch_size=BATCH, mode=mode, gradient_mode=gradient_mode, dtype="float64")
     params = build_model(SPEC, seed=4, dtype=np.float64)
     source, labels, target = batches()
     domains = [(source, labels), (target, None)] if mode == "dla" else [(source, labels)]
@@ -43,7 +40,7 @@ def worst_gradient_error(mode, gradient_mode, names=None):
     training.walk_domains(params, SPEC, batch, cfg, step=1)
 
     worst = 0.0
-    for name in names or trainable_names(params, cfg):
+    for name in names or params:
         tensor = params[name]
         original = tensor.data
 
@@ -63,15 +60,34 @@ def test_full_mode_matches_finite_differences_on_every_parameter(mode):
 
 
 def test_projected_mode_matches_on_parameters_the_factors_do_not_depend_on():
-    assert worst_gradient_error("dla", "projected", ["head_w", "head_b", "k_hat"]) < 1e-6
+    assert worst_gradient_error("dla", "projected", ["head_w", "head_b"]) < 1e-6
 
 
-def test_no_adapt_matches_on_weights_and_leaves_the_gate_untrained():
-    params = build_model(SPEC, seed=4, dtype=np.float64)
-    names = trainable_names(params, TrainConfig(mode="no_adapt"))
-    assert "k_hat" not in names
-    assert sorted(names) == sorted(n for n in params if n != "k_hat")
+def test_no_adapt_matches_finite_differences_on_every_parameter_in_projected_mode():
     assert worst_gradient_error("no_adapt", "projected") < 1e-6
+
+
+def test_the_split_is_at_the_class_count():
+    # SPEC's 3 classes cut the 4 spectrum directions of a 6 x 4 feature
+    # matrix: the source keeps the leading 3, the target the last one
+    cfg = TrainConfig(lam=0.5, batch_size=BATCH, dtype="float64")
+    params = build_model(SPEC, seed=4, dtype=np.float64)
+    source, labels, target = batches()
+    filtered = []
+
+    def recording_head(params, phi):
+        filtered.append(phi.data)
+        return forward_head(params, phi)
+
+    for images, y in ((source, labels), (target, None)):
+        raw = forward_features(params, SPEC, Tensor(images)).data
+        u, s, vt = np.linalg.svd(raw, full_matrices=False)
+        kept = slice(0, 3) if y is not None else slice(3, 4)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(training, "forward_head", recording_head)
+            _, parts, _ = dla_loss(params, SPEC, images, y, cfg)
+        assert parts.k == 3 / 4
+        assert rel_err(filtered[-1], (u[:, kept] * s[kept]) @ vt[kept]) < 1e-12
 
 
 def test_evaluate_records_no_tape_and_keeps_the_accuracy(monkeypatch):
@@ -94,23 +110,24 @@ def test_evaluate_records_no_tape_and_keeps_the_accuracy(monkeypatch):
 
 
 # (total, k, src_acc) per step of a float64 run at batch 16 on synthetic data,
-# recorded when make_synthetic began drawing every set's class templates from
-# one template_seed; a reordered sum moves these by ~1e-14, well inside the
-# tolerance, while a change to the math moves them far beyond it
+# recorded when the spectrum split moved to the fixed cut at the class count
+# (k = 10 / 16; the no_adapt totals are those of the learnable gate before
+# it); a reordered sum moves these by ~1e-14, well inside the tolerance,
+# while a change to the math moves them far beyond it
 GOLDEN = {
     "dla": [
-        (3.160489595313907, 0.5989873728494957, 0.0),
-        (2.3767786520003003, 0.5987471518292687, 0.25),
-        (2.1838430330408496, 0.5985598755213859, 0.1875),
-        (2.1927487627046176, 0.5983767535232077, 0.3125),
-        (2.4383236639619064, 0.5981841050463722, 0.1875),
+        (3.1603556407184406, 0.625, 0.0),
+        (2.51537270422525, 0.625, 0.1875),
+        (2.158611999699271, 0.625, 0.375),
+        (2.26018379426703, 0.625, 0.1875),
+        (2.536700774691393, 0.625, 0.125),
     ],
     "no_adapt": [
-        (3.1609771638135777, 0.5989873728494957, 0.0),
-        (3.1384212092053114, 0.5989873728494957, 0.25),
-        (4.122567615846815, 0.5989873728494957, 0.0625),
-        (2.0505043245463295, 0.5989873728494957, 0.1875),
-        (2.82286318163208, 0.5989873728494957, 0.375),
+        (3.1609771638135777, 0.625, 0.0),
+        (3.1384212092053114, 0.625, 0.25),
+        (4.122567615846815, 0.625, 0.0625),
+        (2.0505043245463295, 0.625, 0.1875),
+        (2.82286318163208, 0.625, 0.375),
     ],
 }
 
@@ -181,7 +198,7 @@ def dla_step_peaks(domain):
         step_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(np.isfinite(params[name].grad).all() for name in trainable_names(params, cfg))
+    assert all(np.isfinite(p.grad).all() for p in params.values())
     return (forward_peak - before) / 1e6, (step_peak - before) / 1e6
 
 
@@ -233,17 +250,16 @@ def test_a_dla_step_in_train_holds_one_feature_pass_at_a_time():
 
 
 def test_one_domain_calls_return_that_domains_terms():
-    cfg = TrainConfig(lam=0.5, gamma=0.1, batch_size=BATCH, dtype="float64")
+    cfg = TrainConfig(lam=0.5, batch_size=BATCH, dtype="float64")
     params = build_model(SPEC, seed=4, dtype=np.float64)
     source, labels, target = batches()
     _, src, probs = dla_loss(params, SPEC, source, labels, cfg)
     _, tgt, no_probs = dla_loss(params, SPEC, target, None, cfg)
-    assert (src.align, src.k_reg, src.total) == (0.0, 0.0, src.cls)
-    assert tgt.cls == 0.0 and tgt.k_reg == pytest.approx(tgt.k**2, rel=1e-15)
-    assert tgt.total == pytest.approx(0.5 * tgt.align + 0.1 * tgt.k_reg, rel=1e-15)
+    assert (src.align, src.total) == (0.0, src.cls)
+    assert tgt.cls == 0.0 and tgt.total == pytest.approx(0.5 * tgt.align, rel=1e-15)
     assert probs is not None and no_probs is None
     walked, walked_probs = training.walk_domains(params, SPEC, DomainBatch(source, labels, target), cfg, 1)
-    assert (walked.cls, walked.align, walked.k_reg, walked.k) == (src.cls, tgt.align, tgt.k_reg, src.k)
+    assert (walked.cls, walked.align, walked.k) == (src.cls, tgt.align, src.k)
     assert walked.total == pytest.approx(src.total + tgt.total, rel=1e-15)
     assert walked_probs.tobytes() == probs.tobytes()
     with pytest.raises(ConfigError, match="no_adapt mode has no target term"):
@@ -263,18 +279,44 @@ def test_a_non_finite_source_term_aborts_the_run_naming_the_source(mode):
         train(cfg, data, on_step=overflow_head)
 
 
-def test_a_non_finite_target_term_aborts_the_run_naming_the_target():
-    # lam and gamma at the float32 maximum pass validate, and seed 1088 draws
-    # k_hat = 3.17, so k^2 = 0.92: each weighted term is finite, but with
-    # align >= 0.1 (ten classes) their sum overflows, while the source's
-    # cross-entropy stays finite
-    largest = float(np.finfo(np.float32).max)
-    cfg = TrainConfig(lam=largest, gamma=largest, seed=1088, batch_size=16, steps=3, val_every=0, timing=False)
+def test_a_non_finite_target_term_aborts_the_run_naming_the_target(monkeypatch):
+    # the target's term is lam, which validate keeps finite in the run's
+    # dtype, times a mean of squared probabilities, so only non-finite scores
+    # make it non-finite: here the second head call of step 1, the target's,
+    # returns an inf score, while the source's cross-entropy stays finite
+    calls = []
+
+    def inf_in_the_first_target_scores(params, phi):
+        scores = forward_head(params, phi)
+        calls.append(scores)
+        if len(calls) == 2:
+            scores.data[0, 0] = np.inf
+        return scores
+
+    monkeypatch.setattr(training, "forward_head", inf_in_the_first_target_scores)
+    cfg = TrainConfig(batch_size=16, steps=3, val_every=0, timing=False)
     data = TrainData(
         source=make_synthetic(64, 1), target=make_synthetic(64, 2, domain_shift=0.35).drop_labels()
     )
-    with np.errstate(all="ignore"), pytest.raises(TrainingAborted, match="^step 1: the target loss went non-finite"):
+    with np.errstate(all="ignore"), pytest.raises(TrainingAborted, match="^step 1: the target loss went non-finite: nan"):
         train(cfg, data)
+    assert np.isfinite(calls[0].data).all()
+
+
+@pytest.mark.parametrize("batch_size, feature_dim", [(3, 4), (6, 3), (2, 2)])
+def test_dla_refuses_a_spectrum_no_longer_than_the_class_count(batch_size, feature_dim):
+    # the target keeps the directions after the first `classes`; with none
+    # left its term would be a constant
+    spec = ModelSpec(image_hw=(8, 8), conv_channels=(2,), feature_dim=feature_dim, classes=3)
+    data = TrainData(
+        source=make_synthetic(8, 1, hw=(8, 8)), target=make_synthetic(8, 2, hw=(8, 8)).drop_labels()
+    )
+    cfg = TrainConfig(batch_size=batch_size, steps=1, val_every=0, timing=False)
+    message = rf"\(the class count\).*min\(batch_size {batch_size}, feature width {feature_dim}\) must be above 3$"
+    with pytest.raises(ConfigError, match=message):
+        check_run(cfg, data, spec)
+    # no_adapt runs no filter
+    check_run(replace(cfg, mode="no_adapt"), data, spec)
 
 
 def test_a_clamping_run_logs_its_first_clamp_and_its_total(caplog):
