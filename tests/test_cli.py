@@ -150,9 +150,6 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
         (TINY + "\n[data]\nusps_train = usps/usps.bz2\n", "unknown config key 'usps_train'"),
         # finite as a float, inf as a float32 weight
         (TINY.replace("[train]\n", "[train]\nlam = 1e39\n"), "lam must be at most 3.40282e+38 in float32"),
-        # keys of the learnable gate the fixed cut replaced
-        (TINY.replace("[train]\n", "[train]\nbeta = 5.0\n"), "unknown config key 'beta' in section [train]"),
-        (TINY.replace("[train]\n", "[train]\ngamma = 0.001\n"), "unknown config key 'gamma' in section [train]"),
         # the target would keep none of the first 10 spectrum directions
         (TINY.replace("batch_size = 16", "batch_size = 10"), "min(batch_size 10, feature width 128) must be above 10"),
     ):
@@ -181,8 +178,6 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
         ("[output]\ndir = runs/latest\n", "unknown config section [output]"),
         ("[data]\nmnist_train_images = m.gz\n", "unknown config key 'mnist_train_images' in section [data]"),
         ("[train]\nmode = partial_la\n", "got 'partial_la'"),
-        ("[train]\ngamma = 0.001\n", "unknown config key 'gamma' in section [train]"),
-        ("[train]\nbeta = 5.0\n", "unknown config key 'beta' in section [train]"),
         ("steps = 3\n", "malformed config in checkpoint"),
     ):
         stale = tmp_path / "stale.ckpt"
@@ -190,6 +185,29 @@ def test_validation_errors_exit_1(tmp_path, tiny_config, capsys):
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION, echo
         assert named in capsys.readouterr().err, echo
+
+
+# keys of the learnable spectrum gate that the fixed cut at the class count replaced
+REMOVED_GATE_KEYS = pytest.mark.parametrize("line", ["gamma = 0.001", "beta = 5.0"], ids=["gamma", "beta"])
+
+
+@REMOVED_GATE_KEYS
+def test_a_removed_gate_key_makes_train_exit_1_before_writing(tmp_path, capsys, line):
+    config = tmp_path / "old.ini"
+    config.write_text(TINY.replace("[train]\n", f"[train]\n{line}\n"))
+    assert run_train(config, tmp_path / "run") == EXIT_VALIDATION
+    key = line.split()[0]
+    assert capsys.readouterr().err == f"error: unknown config key '{key}' in section [train]\n"
+    assert not (tmp_path / "run").exists()
+
+
+@REMOVED_GATE_KEYS
+def test_a_checkpoint_echoing_a_removed_gate_key_makes_eval_exit_1(tmp_path, capsys, line):
+    stale = tmp_path / "stale.ckpt"
+    stale.write_bytes(hand_built({"config": f"[train]\n{line}\n", "params": []}))
+    assert main(["eval", "--checkpoint", str(stale)]) == EXIT_VALIDATION
+    key = line.split()[0]
+    assert f"unknown config key '{key}' in section [train]" in capsys.readouterr().err
 
 
 def test_eval_dataset_outside_the_four_names_exits_2(tmp_path, capsys):

@@ -180,6 +180,20 @@ def test_solver_rejects_a_cut_outside_the_spectrum():
             solve_linear_uda(p, k)
 
 
+@pytest.mark.parametrize("top", [True, False], ids=["top", "bottom"])
+def test_the_lab_filter_splits_the_spectrum_where_training_does(top):
+    # the leading k directions for the source, the rest for the target, as
+    # dla_loss splits at the class count
+    rng = np.random.default_rng(21)
+    for n, d, k in ((12, 8, 3), (8, 12, 5), (10, 10, 0), (10, 10, 10)):
+        phi = rng.standard_normal((n, d))
+        u, s, vt = np.linalg.svd(phi, full_matrices=False)
+        kept = slice(0, k) if top else slice(k, None)
+        expected = (u[:, kept] * s[kept]) @ vt[kept]
+        got = linearlab._hard_filter(phi, k, top)
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(phi).max()
+
+
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------

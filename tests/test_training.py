@@ -10,7 +10,7 @@ import pytest
 
 from conftest import numeric_grad, rel_err
 from labelalign import autodiff as ad
-from labelalign import training
+from labelalign import spectral, training
 from labelalign.autodiff import Tensor
 from labelalign.data import DomainBatch, make_synthetic, synthetic_domains
 from labelalign.model import DEFAULT_SPEC, ModelSpec, build_model, forward_features, forward_head
@@ -88,6 +88,63 @@ def test_the_split_is_at_the_class_count():
             _, parts, _ = dla_loss(params, SPEC, images, y, cfg)
         assert parts.k == 3 / 4
         assert rel_err(filtered[-1], (u[:, kept] * s[kept]) @ vt[kept]) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["dla", "no_adapt"])
+def test_the_reported_k_is_the_class_count_over_the_spectrum_length(mode):
+    # k = C / min(batch, feature width) in both modes and both domains, so
+    # it lies in (0, 1) whenever check_run lets a dla run start
+    spec = replace(SPEC, feature_dim=6)
+    params = build_model(spec, seed=4, dtype=np.float64)
+    cfg = TrainConfig(lam=0.5, batch_size=BATCH, mode=mode, dtype="float64")
+    rng = np.random.default_rng(5)
+    images = rng.standard_normal((8, 1, 8, 8))
+    labels = rng.integers(0, spec.classes, 8)
+    for batch, r in ((4, 4), (5, 5), (6, 6), (8, 6)):
+        domains = [labels[:batch], None] if mode == "dla" else [labels[:batch]]
+        for y in domains:
+            _, parts, _ = dla_loss(params, spec, images[:batch], y, cfg)
+            assert parts.k == 3 / r
+            assert 0 < parts.k < 1
+
+
+def test_dla_loss_looks_the_cut_up_on_the_spectral_module(monkeypatch):
+    # a tracer that wraps spectral.gate_weights must see every cut dla_loss makes
+    calls = []
+    real = spectral.gate_weights
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "gate_weights", recording)
+    cfg = TrainConfig(lam=0.5, batch_size=BATCH, dtype="float64")
+    params = build_model(SPEC, seed=4, dtype=np.float64)
+    source, labels, target = batches()
+    dla_loss(params, SPEC, source, labels, cfg)
+    dla_loss(params, SPEC, target, None, cfg)
+    assert calls == [(3, 4, np.float64), (3, 4, np.float64)]
+
+
+def test_dla_loss_passes_the_filter_positional_arguments_only(monkeypatch):
+    # a tracer that wraps training.spectral_filter with ``def f(*args)`` must
+    # be able to stand in for it
+    calls = []
+    real = training.spectral_filter
+
+    def positional_only(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(training, "spectral_filter", positional_only)
+    source, labels, target = batches()
+    for gradient_mode in ("projected", "full"):
+        cfg = TrainConfig(lam=0.5, batch_size=BATCH, gradient_mode=gradient_mode, dtype="float64")
+        params = build_model(SPEC, seed=4, dtype=np.float64)
+        dla_loss(params, SPEC, source, labels, cfg)
+        dla_loss(params, SPEC, target, None, cfg)
+    assert [args[2] for args in calls] == ["projected", "projected", "full", "full"]
+    assert [args[1].tolist() for args in calls[:2]] == [[1, 1, 1, 0], [0, 0, 0, 1]]
 
 
 def test_evaluate_records_no_tape_and_keeps_the_accuracy(monkeypatch):
@@ -317,6 +374,21 @@ def test_dla_refuses_a_spectrum_no_longer_than_the_class_count(batch_size, featu
         check_run(cfg, data, spec)
     # no_adapt runs no filter
     check_run(replace(cfg, mode="no_adapt"), data, spec)
+
+
+@pytest.mark.parametrize("batch_size, feature_dim", [(11, 11), (11, 14), (14, 11)])
+def test_dla_starts_with_one_spectrum_direction_past_the_class_count(batch_size, feature_dim):
+    # the least spectrum the refusal above lets through leaves the target
+    # one direction, and a run on it trains
+    spec = ModelSpec(image_hw=(8, 8), conv_channels=(2,), feature_dim=feature_dim, classes=10)
+    data = TrainData(
+        source=make_synthetic(16, 1, hw=(8, 8)), target=make_synthetic(16, 2, hw=(8, 8)).drop_labels()
+    )
+    cfg = TrainConfig(batch_size=batch_size, steps=2, val_every=0, timing=False)
+    check_run(cfg, data, spec)
+    result = train(cfg, data, spec)
+    assert [r.step for r in result.records] == [1, 2]
+    assert all(0 < r.parts.k < 1 and np.isfinite(r.parts.total) for r in result.records)
 
 
 def test_a_clamping_run_logs_its_first_clamp_and_its_total(caplog):
