@@ -266,18 +266,6 @@ def test_full_mode_degenerate_spectrum_is_counted_and_stays_finite(caplog):
     assert np.isfinite(phi.grad).all()
 
 
-def test_full_mode_clamps_are_counted_without_debug_logging(caplog):
-    rng = np.random.default_rng(20)
-    phi0 = random_matrix_with_spectrum(rng, 6, 4, np.array([2.0, 1.0, 1.0, 0.5]))
-    phi = t64(phi0, grad=True)
-    before = spectral.clamped_terms
-    with caplog.at_level(logging.INFO, logger="labelalign.spectral"):
-        out = cut_filter(phi, 2, "top", "full")
-        backward(ad.tsum(ad.mul(out, out)))
-    assert spectral.clamped_terms - before == 2
-    assert caplog.records == []
-
-
 def test_gradients_deterministic_across_runs():
     rng_data = np.random.default_rng(21).standard_normal((10, 6))
 
